@@ -34,9 +34,9 @@ rebuild/streaming speedup expectation into an exit code for CI.
 
 ``--kernels`` adds a ``"kernels"`` section (see docs/performance.md): per
 population size it derives the real atom-table pmf stack from the table1
-scenario and times ``pairwise_matrix`` under every available kernel
+scenario and times ``pairwise_matrix`` under every registered kernel
 backend (the per-pair ``scalar`` loop the fused kernels replace vs the
-compiled ``numpy``/``numba`` blocks), asserting bit-identical matrices
+fused ``numpy`` blocks), asserting bit-identical matrices
 along the way; it then times the same audit *job* cold vs warm through a
 :class:`~repro.service.cache.CrossJobCache` + ``CachingEngineFactory`` —
 the exact code path the audit daemon uses — so the warm figure includes
@@ -514,7 +514,7 @@ def _time_kernels_population(n_workers: int, repeats: int) -> dict:
     import numpy as np
 
     from repro.engine.atoms import AtomTable
-    from repro.engine.kernels import kernel_backend_status, pairwise_matrix
+    from repro.engine.kernels import KERNEL_BACKENDS, pairwise_matrix
     from repro.metrics import get_metric
     from repro.service.cache import CrossJobCache, cached_audit
 
@@ -536,7 +536,7 @@ def _time_kernels_population(n_workers: int, repeats: int) -> dict:
         "backends": {},
     }
     reference = None
-    for name in kernel_backend_status()["available"]:
+    for name in KERNEL_BACKENDS:
         times = []
         matrix = None
         for _ in range(repeats):
@@ -613,8 +613,8 @@ def _time_kernels_population(n_workers: int, repeats: int) -> dict:
 
 
 def run_kernels(quick: bool, repeats: int) -> dict:
-    """The compiled-kernel + cross-job-cache sweep (one dict per population)."""
-    from repro.engine.kernels import kernel_backend_status
+    """The fused-kernel + cross-job-cache sweep (one dict per population)."""
+    from repro.engine.kernels import KERNEL_BACKENDS
 
     populations = SCALING_POPULATIONS_QUICK if quick else SCALING_POPULATIONS
     cases = []
@@ -643,10 +643,7 @@ def run_kernels(quick: bool, repeats: int) -> dict:
         "metric": "emd",
         "stack_cap": KERNEL_STACK_CAP,
         "repeats": repeats,
-        "status": {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in kernel_backend_status().items()
-        },
+        "status": {"registered": list(KERNEL_BACKENDS)},
         "cases": cases,
     }
 
@@ -681,7 +678,6 @@ def run_service_bench(queue_depth: int = 8, workers: int = 2) -> dict:
             queue_limit=queue_depth,
             workers=workers,
             port=None,
-            poll_seconds=0.005,
         )
     ).start()
     try:

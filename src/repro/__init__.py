@@ -50,8 +50,6 @@ from repro.engine import (
     Deadline,
     EvaluationEngine,
     FaultConfig,
-    FaultInjectionBackend,
-    RetryingBackend,
     RetryPolicy,
     SearchContext,
     StepDeadline,
@@ -170,9 +168,7 @@ __all__ = [
     "available_backends",
     # resilience & fault injection
     "RetryPolicy",
-    "RetryingBackend",
     "FaultConfig",
-    "FaultInjectionBackend",
     "CheckpointStore",
     # deadlines
     "Deadline",

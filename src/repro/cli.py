@@ -40,17 +40,24 @@ unifies the engine flags.
 The four engine-using subcommands (``audit``, ``compare``, ``workload``,
 ``experiment``) share one flag surface:
 
-* ``--engine-backend {sequential,process}`` / ``--engine-workers N`` select
-  the evaluation engine's execution backend (``--workers`` keeps meaning
-  *workers in the marketplace*, i.e. population size, on ``generate`` and
-  ``experiment``);
+* ``--engine-backend {sequential,process,sharded}`` / ``--engine-workers N``
+  select the evaluation engine's execution backend (``--workers`` keeps
+  meaning *workers in the marketplace*, i.e. population size, on
+  ``generate`` and ``experiment``);
+* ``--engine-kernel {numpy,scalar}`` selects the (bit-identical) distance
+  kernels;
 * ``--trace-out FILE`` writes the run's span tree and metrics snapshot as
   JSON (see ``docs/observability.md``);
 * ``--log-level LEVEL`` configures structured logging;
 * ``--engine-retries`` / ``--engine-timeout`` / ``--engine-retry-backoff``
-  / ``--engine-no-fallback`` configure the backend's fault tolerance and
-  ``--inject-faults SPEC`` enables deterministic chaos testing (see
-  ``docs/robustness.md``).
+  / ``--engine-no-fallback`` configure the worker pool's fault tolerance
+  and ``--inject-faults SPEC`` enables deterministic chaos testing in the
+  pool workers (see ``docs/robustness.md``).  Fault injection needs a pool
+  backend: with ``sequential`` the command exits 2.
+
+``serve`` takes only the engine flags the daemon reads: ``--engine-kernel``,
+``--log-level`` and the retry flags, which need ``--shard-workers`` (the
+only work the daemon fans out to worker processes).
 
 ``experiment`` additionally supports ``--checkpoint-dir DIR`` (persist
 every completed cell atomically) and ``--resume DIR`` (skip cells already
@@ -72,6 +79,7 @@ from repro.core.algorithms import PAPER_ALGORITHMS, available_algorithms
 from repro.core.audit import FairnessAuditor
 from repro.core.histogram import HistogramSpec
 from repro.engine import KERNEL_BACKENDS, available_backends
+from repro.exceptions import PartitioningError
 from repro.io.serialization import (
     load_population,
     save_experiment_result,
@@ -150,35 +158,38 @@ def _add_engine_arguments(
     parser: argparse.ArgumentParser,
     alias_backend: bool = False,
     alias_workers: bool = False,
+    daemon: bool = False,
 ) -> None:
     """The shared engine/observability flag surface of the four engine-using
-    subcommands: ``--engine-backend`` / ``--engine-workers`` / ``--trace-out``
-    / ``--log-level``, plus hidden deprecated aliases for the old spellings
-    (``--backend``, and ``--workers`` where it meant the pool size)."""
+    subcommands: ``--engine-backend`` / ``--engine-workers`` /
+    ``--engine-kernel`` / the retry flags / ``--inject-faults`` /
+    ``--trace-out`` / ``--log-level``, plus hidden deprecated aliases for
+    the old spellings (``--backend``, and ``--workers`` where it meant the
+    pool size).  ``daemon=True`` (``serve``) adds only the flags the daemon
+    reads: ``--engine-kernel``, the retry flags and ``--log-level``."""
     group = parser.add_argument_group("evaluation engine")
-    group.add_argument(
-        "--engine-backend",
-        dest="engine_backend",
-        default="sequential",
-        choices=sorted(available_backends()),
-        help="evaluation backend: sequential (default) or a process pool",
-    )
-    group.add_argument(
-        "--engine-workers",
-        dest="engine_workers",
-        type=_positive_int,
-        default=None,
-        help="worker processes for --engine-backend process (default: all cores)",
-    )
+    if not daemon:
+        group.add_argument(
+            "--engine-backend",
+            dest="engine_backend",
+            default="sequential",
+            choices=sorted(available_backends()),
+            help="evaluation backend: sequential (default) or a process pool",
+        )
+        group.add_argument(
+            "--engine-workers",
+            dest="engine_workers",
+            type=_positive_int,
+            default=None,
+            help="worker processes for --engine-backend process (default: all cores)",
+        )
     group.add_argument(
         "--engine-kernel",
         dest="engine_kernel",
         default=None,
         choices=list(KERNEL_BACKENDS),
-        help="distance-kernel backend: numpy (default, fused vectorised), "
-        "scalar (per-pair reference), or numba (JIT-compiled; requires the "
-        "optional numba dependency and a passing bit-identity self-check). "
-        "All backends produce bit-identical results",
+        help="distance-kernel backend: numpy (default, fused vectorised) or "
+        "scalar (per-pair reference).  Both produce bit-identical results",
     )
     group.add_argument(
         "--engine-retries",
@@ -186,7 +197,7 @@ def _add_engine_arguments(
         type=_nonnegative_int,
         default=None,
         metavar="N",
-        help="retry a failed evaluation batch up to N times (default: 3 once "
+        help="retry a failed worker-pool chunk up to N times (default: 3 once "
         "any resilience flag is set)",
     )
     group.add_argument(
@@ -195,7 +206,7 @@ def _add_engine_arguments(
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="per-batch deadline; timed-out chunks are re-dispatched",
+        help="per-chunk deadline; timed-out chunks are re-dispatched",
     )
     group.add_argument(
         "--engine-retry-backoff",
@@ -209,25 +220,27 @@ def _add_engine_arguments(
         "--engine-no-fallback",
         dest="engine_no_fallback",
         action="store_true",
-        help="raise BackendExhaustedError instead of degrading to the "
-        "sequential backend when retries run out",
+        help="raise BackendExhaustedError instead of computing in-process "
+        "when retries run out",
     )
-    group.add_argument(
-        "--inject-faults",
-        dest="inject_faults",
-        type=_fault_spec,
-        default=None,
-        metavar="SPEC",
-        help="deterministic chaos mode, e.g. "
-        "'crash=0.3,hang=0.1,corrupt=0.05,seed=1' (see docs/robustness.md)",
-    )
-    group.add_argument(
-        "--trace-out",
-        dest="trace_out",
-        default=None,
-        metavar="FILE",
-        help="write the run's span tree + metrics snapshot as JSON to FILE",
-    )
+    if not daemon:
+        group.add_argument(
+            "--inject-faults",
+            dest="inject_faults",
+            type=_fault_spec,
+            default=None,
+            metavar="SPEC",
+            help="deterministic chaos mode in the pool workers of "
+            "--engine-backend process or sharded, e.g. "
+            "'crash=0.3,hang=0.1,corrupt=0.05,seed=1' (see docs/robustness.md)",
+        )
+        group.add_argument(
+            "--trace-out",
+            dest="trace_out",
+            default=None,
+            metavar="FILE",
+            help="write the run's span tree + metrics snapshot as JSON to FILE",
+        )
     group.add_argument(
         "--log-level",
         dest="log_level",
@@ -692,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-queue jobs stuck RUNNING longer than this (stalled-worker "
         "watchdog; default: disabled)",
     )
-    _add_engine_arguments(serve)
+    _add_engine_arguments(serve, daemon=True)
 
     submit = subparsers.add_parser(
         "submit", help="submit one audit or mitigate job to a running daemon"
@@ -1210,6 +1223,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     if getattr(args, "log_level", None):
         setup_logging(args.log_level)
     retry_policy, _ = _resilience(args)
+    if retry_policy is not None and args.shard_workers is None:
+        print(
+            "the retry flags (--engine-retries/--engine-timeout/"
+            "--engine-retry-backoff/--engine-no-fallback) need --shard-workers: "
+            "the daemon only retries work it fans out to worker processes",
+            file=sys.stderr,
+        )
+        return 2
     tenant_weights = None
     if args.tenant_weights:
         tenant_weights = {}
@@ -1475,7 +1496,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "verify-snapshot": _command_verify_snapshot,
         "compact-snapshot": _command_compact_snapshot,
     }
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except PartitioningError as exc:
+        # Invalid engine configuration, e.g. --inject-faults without a
+        # worker pool to inject into.
+        print(f"repro-audit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

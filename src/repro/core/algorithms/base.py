@@ -205,7 +205,7 @@ class PartitioningAlgorithm(abc.ABC):
             re-audits instead of rebuilding per run.
         kernel:
             Kernel backend for the distance computations (``"numpy"`` /
-            ``"scalar"`` / ``"numba"``; ``None`` = default).  Bit-identical
+            ``"scalar"``; ``None`` = default).  Bit-identical
             across backends — purely a cost-model switch, like
             ``use_atoms``.
         """

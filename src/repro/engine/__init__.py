@@ -3,10 +3,12 @@
 See :mod:`repro.engine.engine` for the entry point
 (:class:`EvaluationEngine`), :mod:`repro.engine.kernels` for the vectorized
 distance kernels, :mod:`repro.engine.incremental` for O(k·Δ) frontier
-updates, :mod:`repro.engine.backends` for the execution backends,
-:mod:`repro.engine.resilience` for retry/timeout/fallback hardening, and
-:mod:`repro.engine.faults` for deterministic fault injection, and
-:mod:`repro.engine.streaming` for O(Δ) re-audits of mutable populations.
+updates, :mod:`repro.engine.backends` for the execution backends (the
+process pool's chunk loop is the one retry loop),
+:mod:`repro.engine.resilience` for its retry/timeout/fallback policy,
+:mod:`repro.engine.faults` for deterministic fault injection into pool
+workers, and :mod:`repro.engine.streaming` for O(Δ) re-audits of mutable
+populations.
 """
 
 from repro.engine.backends import (
@@ -20,18 +22,16 @@ from repro.engine.backends import (
 from repro.engine.context import SearchContext
 from repro.engine.deadline import Deadline, StepDeadline
 from repro.engine.engine import EngineStats, EvaluationEngine
-from repro.engine.faults import FaultConfig, FaultInjectionBackend
-from repro.engine.resilience import RetryingBackend, RetryPolicy, validate_batch
+from repro.engine.faults import FaultConfig
+from repro.engine.resilience import RetryPolicy, validate_batch
 from repro.engine.incremental import FullRecomputeObjective, IncrementalObjective
 from repro.engine.kernels import (
     DEFAULT_KERNEL,
     KERNEL_BACKENDS,
-    available_kernel_backends,
     average_from_matrix,
     cross_matrix,
     full_objective,
     has_vectorized_kernel,
-    kernel_backend_status,
     pairwise_matrix,
     resolve_kernel_backend,
 )
@@ -62,10 +62,8 @@ __all__ = [
     "available_backends",
     "get_backend",
     "RetryPolicy",
-    "RetryingBackend",
     "validate_batch",
     "FaultConfig",
-    "FaultInjectionBackend",
     "IncrementalObjective",
     "FullRecomputeObjective",
     "cross_matrix",
@@ -75,8 +73,6 @@ __all__ = [
     "has_vectorized_kernel",
     "KERNEL_BACKENDS",
     "DEFAULT_KERNEL",
-    "available_kernel_backends",
-    "kernel_backend_status",
     "resolve_kernel_backend",
     "RepricingReport",
     "group_pmfs",

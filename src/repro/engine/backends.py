@@ -12,21 +12,26 @@ expansions).  :class:`EvaluationEngine` routes those batches through an
   arrays; every worker computes objectives through the *same*
   :func:`~repro.engine.kernels.full_objective` code path as the sequential
   engine, which keeps results bit-identical across backends.
+* :class:`ShardedBackend` — splits each large candidate's histograms across
+  the same pool by atom-range and merges the partial counts in order.
 
-The process pool is **fault tolerant** (PR 3): each chunk is dispatched
-with an optional deadline and retried under the backend's
-:class:`~repro.engine.resilience.RetryPolicy` — stragglers are re-dispatched
-on timeout, crashed chunks are retried with exponential backoff + jitter, a
-broken pool is rebuilt, and when the pool is irrecoverable the batch (and,
-for repeated pool breakage, the whole backend) degrades to the in-process
-sequential path, which computes the *same values* through the same kernels.
-Exhausting the budget with fallback disabled raises a typed
-:class:`~repro.exceptions.BackendExhaustedError`.  A seeded
-:class:`~repro.engine.faults.FaultConfig` can be attached to inject crashes,
-hangs and corrupt returns inside the workers (chaos mode / test harness).
+The process pool's chunk loop is the one retry loop in the engine, and
+:class:`ShardedBackend` sends its shard-sum chunks through it too: each
+chunk is dispatched with an optional deadline and retried under the
+backend's :class:`~repro.engine.resilience.RetryPolicy` — stragglers are
+re-dispatched on timeout, crashed chunks are retried with exponential
+backoff + jitter, a broken pool is rebuilt, and when the pool is
+irrecoverable the batch (and, for repeated pool breakage, the whole
+backend) degrades to the in-process path, which computes the *same
+values* through the same arithmetic.  Exhausting the budget with fallback
+disabled raises a typed :class:`~repro.exceptions.BackendExhaustedError`.
+A seeded :class:`~repro.engine.faults.FaultConfig` can be attached to
+inject crashes, hangs and corrupt returns inside the workers (chaos mode /
+test harness).  The sequential backend has no worker process that could
+fail, so it takes neither.
 
 Backends are selected from the CLI via ``--engine-backend
-{sequential,process}`` and ``--engine-workers N`` and are recorded in
+{sequential,process,sharded}`` and ``--engine-workers N`` and are recorded in
 :class:`AlgorithmResult` so the benchmark harness can attribute runtimes.
 With tracing enabled on the engine, each process-pool batch records
 ``backend.process.dispatch`` / ``backend.process.collect`` spans and the
@@ -234,61 +239,34 @@ def _score_wire_tasks(
     return values
 
 
-def _score_chunk(
-    chunk: "list[list[tuple]]",
-    task_key: "str | None" = None,
-) -> list[float]:  # pragma: no cover - runs in workers
-    faults = _WORKER_STATE.get("faults")
-    if faults is not None and task_key is not None:
-        faults.maybe_crash_or_hang(task_key)
-    values = _score_wire_tasks(
-        _WORKER_STATE["spec"],
-        _WORKER_STATE["metric"],
-        _WORKER_STATE["bin_idx"],
-        _WORKER_STATE["weighting"],
-        _WORKER_STATE.get("atom_counts"),
+def _score_chunk(state: dict, chunk: "list[list[tuple]]") -> list[float]:
+    """Score one chunk of wire tasks against ``state``: a pool worker's
+    initializer payload, or the engine's own
+    :meth:`~repro.engine.engine.EvaluationEngine.worker_payload` when the
+    parent computes in-process — one routine, so both yield the same bits."""
+    return _score_wire_tasks(
+        state["spec"],
+        state["metric"],
+        state["bin_idx"],
+        state["weighting"],
+        state.get("atom_counts"),
         chunk,
-        _WORKER_STATE.get("kernel"),
+        state.get("kernel"),
     )
-    if (
-        faults is not None
-        and task_key is not None
-        and faults.roll("corrupt", task_key)
-    ):
-        values = faults.corrupt_values(values, task_key)
-    return values
 
 
-def _sum_wire_ranges(
-    ranges: "list[tuple]",
-) -> "list[np.ndarray]":  # pragma: no cover - runs in workers
-    """Partial int64 histograms of one chunk of shard ranges.
+def _sum_wire_ranges(state: dict, ranges: "list[tuple]") -> "list[np.ndarray]":
+    """Partial int64 histograms of one chunk of shard ranges, in order.
 
     Each range is an ``("a", rows_slice)`` / ``("m", member_slice)`` entry
     exactly as in :func:`_score_wire_tasks`; the returned count vectors are
     the same integer sums that routine would compute for the slice, so
     merging contiguous slices back in shard order reproduces the unsharded
-    histogram bit for bit (int64 addition is exact).
+    histogram bit for bit (int64 addition is exact).  ``state`` is as in
+    :func:`_score_chunk`, so a shard summed in a worker or in the parent
+    carries identical integers.
     """
-    return _partial_histograms(
-        _WORKER_STATE["spec"],
-        _WORKER_STATE["bin_idx"],
-        _WORKER_STATE.get("atom_counts"),
-        ranges,
-    )
-
-
-def _partial_histograms(
-    spec,
-    bin_idx: "np.ndarray | None",
-    atom_counts: "np.ndarray | None",
-    ranges: "list[tuple]",
-) -> "list[np.ndarray]":
-    """Int64 count vector of every ``("a"|"m", slice)`` range, in order.
-
-    Shared by pool workers and the parent's local fallback so a shard
-    computed on either side carries identical integers.
-    """
+    spec, bin_idx, atom_counts = state["spec"], state["bin_idx"], state["atom_counts"]
     out: "list[np.ndarray]" = []
     for kind, payload in ranges:
         if kind == "a":
@@ -298,14 +276,47 @@ def _partial_histograms(
     return out
 
 
-class _ChunkTask:
-    """Bookkeeping for one in-flight chunk: future, attempt, deadline."""
+def _run_chunk(
+    fn, chunk: list, task_key: str
+) -> list:  # pragma: no cover - runs in workers
+    """One attempt of ``fn`` over ``chunk`` under the worker's fault schedule.
 
-    __slots__ = ("future", "attempt", "deadline")
+    The task key seeds the fault decisions: retries roll fresh dice, so
+    injected faults are transient by construction.
+    """
+    faults = _WORKER_STATE.get("faults")
+    if faults is not None:
+        faults.maybe_crash_or_hang(task_key)
+    values = fn(_WORKER_STATE, chunk)
+    if faults is not None and faults.roll("corrupt", task_key):
+        values = faults.corrupt_values(values, task_key)
+    return values
+
+
+def _validate_counts(values: "list | None", expected: int) -> list:
+    """:func:`~repro.engine.resilience.validate_batch` for shard sums: the
+    chunk must return ``expected`` integer count vectors."""
+    if values is None or len(values) != expected:
+        raise CorruptResultError(
+            f"backend returned {0 if values is None else len(values)} partial "
+            f"histograms for {expected} shards"
+        )
+    for counts in values:
+        if not (isinstance(counts, np.ndarray) and counts.dtype.kind == "i"):
+            raise CorruptResultError(f"backend returned damaged counts {counts!r}")
+    return list(values)
+
+
+class _ChunkTask:
+    """Bookkeeping for one in-flight chunk: worker function, future,
+    attempt, deadline."""
+
+    __slots__ = ("fn", "future", "attempt", "deadline")
 
     def __init__(
-        self, future: Future, attempt: int, deadline: "float | None"
+        self, fn, future: Future, attempt: int, deadline: "float | None"
     ) -> None:
+        self.fn = fn
         self.future = future
         self.attempt = attempt
         self.deadline = deadline
@@ -448,7 +459,7 @@ class ProcessPoolBackend(ExecutionBackend):
         batch = self._batch_counter
         self._batch_counter += 1
         if self._degraded:
-            values = self._score_locally(engine, tasks)
+            values = _score_chunk(engine.worker_payload(), tasks)
         else:
             values = self._score_on_pool(engine, tasks, batch)
         metrics.inc("backend.batches")
@@ -476,11 +487,36 @@ class ProcessPoolBackend(ExecutionBackend):
                 tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)
             ]
             dispatch_span.set(n_chunks=len(chunks), chunk_size=chunk_size)
+        from repro.engine.resilience import validate_batch
+
+        per_chunk = self._map_chunks(
+            engine, pool, _score_chunk, validate_batch, chunks, batch
+        )
+        return [value for chunk_values in per_chunk for value in chunk_values]
+
+    def _map_chunks(
+        self,
+        engine: "EvaluationEngine",
+        pool: ProcessPoolExecutor,
+        fn,
+        validate,
+        chunks: "list[list]",
+        batch: int,
+    ) -> "list[list]":
+        """``fn(state, chunk)`` over every chunk on the pool, under the
+        retry policy.
+
+        ``validate(values, len(chunk))`` vets each returned chunk.  When the
+        budget runs out with fallback enabled, every chunk is recomputed
+        in-process against the engine's :meth:`worker_payload` — the same
+        arithmetic, so the same values.
+        """
+        metrics = engine.metrics
         try:
             with engine.tracer.span(
                 "backend.process.collect", n_chunks=len(chunks)
             ), metrics.time("backend.collect_seconds"):
-                per_chunk = self._collect(engine, pool, chunks, batch)
+                return self._collect(engine, pool, fn, validate, chunks, batch)
         except BackendExhaustedError as exc:
             if not self.policy.fallback_sequential:
                 raise
@@ -493,33 +529,33 @@ class ProcessPoolBackend(ExecutionBackend):
             with engine.tracer.span(
                 "backend.fallback",
                 reason=type(exc.last_error).__name__,
-                n_candidates=len(tasks),
+                n_candidates=sum(len(chunk) for chunk in chunks),
                 degraded=self._degraded,
             ):
-                return self._score_locally(engine, tasks)
-        return [value for chunk_values in per_chunk for value in chunk_values]
+                payload = engine.worker_payload()
+                return [fn(payload, chunk) for chunk in chunks]
 
     def _collect(
         self,
         engine: "EvaluationEngine",
         pool: ProcessPoolExecutor,
-        chunks: "list[list[list[tuple]]]",
+        fn,
+        validate,
+        chunks: "list[list]",
         batch: int,
-    ) -> "list[list[float]]":
+    ) -> "list[list]":
         """Gather all chunks, retrying/re-dispatching under the policy."""
-        from repro.engine.resilience import validate_batch
-
         policy, metrics = self.policy, engine.metrics
-        results: "dict[int, list[float]]" = {}
+        results: "dict[int, list]" = {}
         state: "dict[int, _ChunkTask]" = {}
         for i in range(len(chunks)):
             try:
-                state[i] = self._submit(pool, chunks, i, batch, 0)
+                state[i] = self._submit(pool, fn, chunks, i, batch, 0)
             except BrokenProcessPool as exc:
                 # A worker hard-crashed on an earlier batch; replace the
                 # pool (re-dispatching anything already submitted) first.
                 pool = self._rebuild_pool(engine, chunks, state, results, batch, exc)
-                state[i] = self._submit(pool, chunks, i, batch, 0)
+                state[i] = self._submit(pool, fn, chunks, i, batch, 0)
         while len(results) < len(chunks):
             try:
                 current = {
@@ -538,7 +574,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     if task.future is not future:
                         continue  # superseded straggler; result discarded
                     try:
-                        values = validate_batch(future.result(), len(chunks[i]))
+                        values = validate(future.result(), len(chunks[i]))
                     except BrokenProcessPool:
                         raise
                     except CorruptResultError as exc:
@@ -571,27 +607,25 @@ class ProcessPoolBackend(ExecutionBackend):
     def _submit(
         self,
         pool: ProcessPoolExecutor,
-        chunks: "list[list[list[tuple]]]",
+        fn,
+        chunks: "list[list]",
         i: int,
         batch: int,
         attempt: int,
     ) -> _ChunkTask:
-        # The task key seeds worker-side fault decisions: retries roll
-        # fresh dice, so injected faults are transient by construction.
-        key = f"{batch}-{i}-{attempt}"
-        future = pool.submit(_score_chunk, chunks[i], key)
+        future = pool.submit(_run_chunk, fn, chunks[i], f"{batch}-{i}-{attempt}")
         deadline = (
             time.monotonic() + self.policy.timeout_seconds
             if self.policy.timeout_seconds
             else None
         )
-        return _ChunkTask(future, attempt, deadline)
+        return _ChunkTask(fn, future, attempt, deadline)
 
     def _retry_chunk(
         self,
         engine: "EvaluationEngine",
         pool: ProcessPoolExecutor,
-        chunks: "list[list[list[tuple]]]",
+        chunks: "list[list]",
         state: "dict[int, _ChunkTask]",
         i: int,
         batch: int,
@@ -612,15 +646,15 @@ class ProcessPoolBackend(ExecutionBackend):
             delay = self.policy.delay(task.attempt, self._rng)
             if delay:
                 self.policy.sleep(delay)
-        state[i] = self._submit(pool, chunks, i, batch, task.attempt + 1)
+        state[i] = self._submit(pool, task.fn, chunks, i, batch, task.attempt + 1)
         return pool
 
     def _rebuild_pool(
         self,
         engine: "EvaluationEngine",
-        chunks: "list[list[list[tuple]]]",
+        chunks: "list[list]",
         state: "dict[int, _ChunkTask]",
-        results: "dict[int, list[float]]",
+        results: "dict[int, list]",
         batch: int,
         exc: BaseException,
     ) -> ProcessPoolExecutor:
@@ -647,13 +681,13 @@ class ProcessPoolBackend(ExecutionBackend):
             if task.attempt >= self.policy.max_retries:
                 raise BackendExhaustedError(task.attempt + 1, exc)
             metrics.inc("engine.retries")
-            state[i] = self._submit(pool, chunks, i, batch, task.attempt + 1)
+            state[i] = self._submit(pool, task.fn, chunks, i, batch, task.attempt + 1)
         return pool
 
     def _wait_timeout(
         self,
         state: "dict[int, _ChunkTask]",
-        results: "dict[int, list[float]]",
+        results: "dict[int, list]",
     ) -> "float | None":
         """How long ``wait`` may block: until the nearest chunk deadline."""
         if not self.policy.timeout_seconds:
@@ -666,23 +700,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if not deadlines:
             return None
         return max(0.0, min(deadlines) - time.monotonic()) + 1e-3
-
-    # ------------------------------------------------- sequential degradation
-
-    def _score_locally(
-        self, engine: "EvaluationEngine", tasks: "list[list[tuple]]"
-    ) -> list[float]:
-        """Compute a batch in-process through the exact worker code path."""
-        payload = engine.worker_payload()
-        return _score_wire_tasks(
-            payload["spec"],
-            payload["metric"],
-            payload["bin_idx"],
-            payload["weighting"],
-            payload["atom_counts"],
-            tasks,
-            payload.get("kernel"),
-        )
 
     def close(self) -> None:
         if self._pool is not None:
@@ -721,8 +738,9 @@ class ShardedBackend(ProcessPoolBackend):
     order produce the *same integers*; the pmf is those integers divided by
     the same integer size, hence the same float64 bytes; and
     ``full_objective`` then sees inputs identical to the sequential path.
-    Any pool failure degrades a shard (or the whole batch) to the identical
-    local computation, so results never depend on where shards ran.
+    Shard sums travel through the pool's chunk loop like any other chunk,
+    and an exhausted budget degrades them to the identical local
+    computation, so results never depend on where shards ran.
 
     Entries below ``shard_min_rows`` are summed locally — shipping a dozen
     atom ids to another process costs more than the row-sum itself.
@@ -749,16 +767,17 @@ class ShardedBackend(ProcessPoolBackend):
         self, engine: "EvaluationEngine", tasks: "list[list[tuple]]"
     ) -> list[float]:
         metrics = engine.metrics
+        batch = self._batch_counter
         self._batch_counter += 1
-        merged = self._merge_sharded(engine, tasks)
-        values = self._score_locally(engine, merged)
+        merged = self._merge_sharded(engine, tasks, batch)
+        values = _score_chunk(engine.worker_payload(), merged)
         metrics.inc("backend.batches")
         metrics.inc("backend.candidates", len(tasks))
         engine.record_external_evaluations(tasks)
         return values
 
     def _merge_sharded(
-        self, engine: "EvaluationEngine", tasks: "list[list[tuple]]"
+        self, engine: "EvaluationEngine", tasks: "list[list[tuple]]", batch: int
     ) -> "list[list[tuple]]":
         """Tasks with every large entry replaced by its merged histogram."""
         out = [list(task) for task in tasks]
@@ -782,7 +801,7 @@ class ShardedBackend(ProcessPoolBackend):
                 plan.append((ti, ei, start, n_shards, n_rows))
         if not plan or self._degraded:
             return out
-        partials = self._partials(engine, shards)
+        partials = self._partials(engine, shards, batch)
         engine.metrics.inc("engine.shards_dispatched", len(shards))
         for ti, ei, start, n_shards, n_rows in plan:
             counts = partials[start].copy()
@@ -795,53 +814,28 @@ class ShardedBackend(ProcessPoolBackend):
         return out
 
     def _partials(
-        self, engine: "EvaluationEngine", shards: "list[tuple]"
+        self, engine: "EvaluationEngine", shards: "list[tuple]", batch: int
     ) -> "list[np.ndarray]":
-        """Every shard's partial histogram, via the pool when possible.
+        """Every shard's partial histogram, summed through the pool's chunk
+        loop (deadlines, injected faults, retries, pool rebuilds).
 
-        Failed or irrecoverable chunks fall back to the parent's identical
-        local sum, so a broken pool changes *where* integers are added,
-        never which integers.
+        An exhausted budget with fallback enabled sums the shards in the
+        parent with the identical arithmetic, so a broken pool changes
+        *where* integers are added, never which integers.
         """
         chunk_size = max(1, len(shards) // (2 * self.workers) or 1)
         chunks = [
             shards[i : i + chunk_size] for i in range(0, len(shards), chunk_size)
         ]
-        results: "dict[int, list[np.ndarray]]" = {}
-        pending = list(range(len(chunks)))
-        attempt = 0
-        while pending and not self._degraded and attempt <= self.policy.max_retries:
-            failed: "list[int]" = []
-            try:
-                pool = self._ensure_pool(engine)
-                futures = {i: pool.submit(_sum_wire_ranges, chunks[i]) for i in pending}
-                for i, future in futures.items():
-                    try:
-                        results[i] = future.result()
-                    except BrokenProcessPool:
-                        raise
-                    except Exception:
-                        engine.metrics.inc("engine.worker_crashes")
-                        failed.append(i)
-            except BrokenProcessPool:
-                engine.metrics.inc("engine.pool_rebuilds")
-                self._rebuilds += 1
-                self.close()
-                failed = [i for i in pending if i not in results]
-                if self._rebuilds > self.policy.max_retries:
-                    self._degraded = True
-            if failed and attempt < self.policy.max_retries and not self._degraded:
-                engine.metrics.inc("engine.retries", len(failed))
-            pending = failed
-            attempt += 1
-        if pending:  # exhausted: identical local arithmetic
-            engine.metrics.inc("engine.backend_fallbacks")
-            payload = engine.worker_payload()
-            for i in pending:
-                results[i] = _partial_histograms(
-                    payload["spec"], payload["bin_idx"], payload["atom_counts"], chunks[i]
-                )
-        return [counts for i in range(len(chunks)) for counts in results[i]]
+        per_chunk = self._map_chunks(
+            engine,
+            self._ensure_pool(engine),
+            _sum_wire_ranges,
+            _validate_counts,
+            chunks,
+            batch,
+        )
+        return [counts for chunk_counts in per_chunk for counts in chunk_counts]
 
 
 def available_backends() -> tuple[str, ...]:
@@ -857,15 +851,11 @@ def get_backend(
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
-    ``policy`` / ``faults`` attach fault tolerance and fault injection:
-
-    * ``process`` handles both natively (per-chunk retries, worker-side
-      injection);
-    * ``sequential`` is wrapped in a
-      :class:`~repro.engine.faults.FaultInjectionBackend` (when faults are
-      enabled) inside a :class:`~repro.engine.resilience.RetryingBackend`
-      (when a policy or faults are given), so chaos mode exercises the same
-      retry machinery on both backends.
+    ``policy`` / ``faults`` drive the pool backends' chunk loop (per-chunk
+    retries, worker-side fault injection).  The sequential backend has no
+    worker process that could fail: it ignores ``policy`` and refuses an
+    enabled ``faults`` schedule with
+    :class:`~repro.exceptions.PartitioningError`.
 
     An already-constructed :class:`ExecutionBackend` instance passes through
     unchanged (it owns its own policy).
@@ -873,15 +863,13 @@ def get_backend(
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None or backend == "sequential":
-        from repro.engine.faults import FaultInjectionBackend
-        from repro.engine.resilience import RetryingBackend
-
-        resolved: ExecutionBackend = SequentialBackend()
         if faults is not None and faults.enabled:
-            resolved = FaultInjectionBackend(resolved, faults)
-        if policy is not None or (faults is not None and faults.enabled):
-            resolved = RetryingBackend(resolved, policy)
-        return resolved
+            raise PartitioningError(
+                "fault injection needs a worker pool (--engine-backend "
+                "process or sharded); the sequential backend has no worker "
+                "process to fail"
+            )
+        return SequentialBackend()
     if backend == "process":
         return ProcessPoolBackend(workers, policy=policy, faults=faults)
     if backend == "sharded":

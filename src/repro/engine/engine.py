@@ -117,13 +117,16 @@ class EvaluationEngine:
     workers:
         Worker count for the process backend (ignored by sequential).
     retry_policy:
-        Optional :class:`~repro.engine.resilience.RetryPolicy` attached to
-        the backend (timeouts, bounded retry with backoff, sequential
-        degradation); ignored when ``backend`` is already an instance.
+        Optional :class:`~repro.engine.resilience.RetryPolicy` for the pool
+        backends' chunk loop (timeouts, bounded retry with backoff,
+        in-process degradation); ignored by the sequential backend and when
+        ``backend`` is already an instance.
     fault_config:
         Optional :class:`~repro.engine.faults.FaultConfig` injecting seeded
-        crashes/hangs/corruption into the backend (chaos mode / tests);
-        ignored when ``backend`` is already an instance.
+        crashes/hangs/corruption into pool workers (chaos mode / tests);
+        an enabled config with the sequential backend raises
+        :class:`~repro.exceptions.PartitioningError`.  Ignored when
+        ``backend`` is already an instance.
     mode:
         ``"incremental"`` (default: cache + fast paths + O(k·Δ) frontier
         updates) or ``"full"`` (dense recomputation every query — the
@@ -144,7 +147,7 @@ class EvaluationEngine:
         benchmark's "member" baseline.  Always off in ``mode="full"``.
         Both paths are bit-identical; this is purely a cost-model switch.
     kernel:
-        Kernel backend name (``"numpy"`` / ``"scalar"`` / ``"numba"``, see
+        Kernel backend name (``"numpy"`` / ``"scalar"``, see
         :mod:`repro.engine.kernels`) deciding *how* distance blocks are
         computed.  All backends are bit-identical (the parity harness pins
         this), so like ``use_atoms`` this is purely a cost-model switch;

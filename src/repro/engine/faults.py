@@ -1,4 +1,4 @@
-"""Deterministic fault injection for execution backends (chaos mode).
+"""Deterministic fault injection for the process-pool backends (chaos mode).
 
 The robustness layer is only trustworthy if its failure paths are
 *exercised*, so this module makes failure reproducible: a
@@ -8,22 +8,22 @@ returns corrupted values.  The same seed therefore produces the same fault
 schedule on every run, which is what lets the test suite assert that a run
 surviving injected faults is **bit-identical** to an undisturbed one.
 
-Two injection sites share the config:
+Faults fire where a worker process can really fail: the
+:class:`~repro.engine.backends.ProcessPoolBackend` (and the
+:class:`~repro.engine.backends.ShardedBackend`, whose shard sums go through
+the same chunk loop) ships the config to its workers and injects per
+*chunk attempt*, so crashes surface as real cross-process failures
+(including hard ``os._exit`` kills that break the pool) and hangs as real
+stragglers.  The sequential backend refuses an enabled config.
 
-* :class:`FaultInjectionBackend` wraps any backend and injects at the
-  batch level (the substrate for the generic
-  :class:`~repro.engine.resilience.RetryingBackend` tests);
-* the :class:`~repro.engine.backends.ProcessPoolBackend` ships the config
-  to its workers and injects per *chunk attempt*, so crashes surface as
-  real cross-process failures (including hard ``os._exit`` kills that
-  break the pool) and hangs as real stragglers.
-
-Corruption is always *detectable* (a non-finite value or a truncated
-chunk) so the validation in the retry layer catches and repairs it; see
-``validate_batch`` in :mod:`repro.engine.resilience`.
+Decisions use :func:`repro.io.faultfs.seeded_roll`, the CRC32 roll the
+disk, net and worker chaos seams share.  Corruption is always *detectable*
+(a non-finite value or a truncated chunk) so the validation in the pool's
+chunk loop catches and repairs it.
 
 User-facing: ``--inject-faults crash=0.3,hang=0.1,corrupt=0.05,seed=1``
-turns any CLI run into a chaos drill for validating a deployment.
+turns any pool-backend CLI run into a chaos drill for validating a
+deployment.
 """
 
 from __future__ import annotations
@@ -32,16 +32,11 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from repro.engine.backends import ExecutionBackend
 from repro.exceptions import PartitioningError, WorkerCrashError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.partition import Partition
-    from repro.engine.engine import EvaluationEngine
-
-__all__ = ["FaultConfig", "FaultInjectionBackend"]
+__all__ = ["FaultConfig"]
 
 
 @dataclass(frozen=True)
@@ -91,16 +86,13 @@ class FaultConfig:
     # ------------------------------------------------------------- decisions
 
     def roll(self, kind: str, key: str) -> bool:
-        """Deterministic Bernoulli draw for one (fault kind, dispatch key).
+        """Deterministic Bernoulli draw for one (fault kind, dispatch key)
+        (see :func:`~repro.io.faultfs.seeded_roll`)."""
+        # Imported here: repro.io's package init reaches back into the
+        # engine through the simulation runner.
+        from repro.io.faultfs import seeded_roll
 
-        Uses CRC32 of ``seed:kind:key`` mapped to [0, 1) — stable across
-        processes and Python hash randomisation, which ``hash()`` is not.
-        """
-        rate = getattr(self, f"{kind}_rate")
-        if rate <= 0.0:
-            return False
-        token = f"{self.seed}:{kind}:{key}".encode()
-        return (zlib.crc32(token) / 0x1_0000_0000) < rate
+        return seeded_roll(self.seed, kind, key, getattr(self, f"{kind}_rate"))
 
     def maybe_crash_or_hang(self, key: str) -> None:
         """Apply crash/hang decisions for one dispatch (worker side).
@@ -156,66 +148,3 @@ class FaultConfig:
             except PartitioningError as exc:
                 raise ValueError(str(exc)) from None
         return config
-
-
-class FaultInjectionBackend(ExecutionBackend):
-    """Wrap a backend and inject faults at the batch boundary.
-
-    Every ``score_partitionings`` call consumes one dispatch key
-    (``call-<n>``), so a retried batch rolls fresh dice — injected faults
-    are transient, and a sufficiently patient retry policy always recovers
-    the true values.  An injected hang sleeps ``hang_seconds`` and then
-    raises :class:`~repro.exceptions.WorkerCrashError` (a hung dispatch
-    that is eventually reaped), so it is observable both with and without
-    a timeout configured.
-
-    Fired faults are counted in ``engine.faults_injected``.
-    """
-
-    def __init__(self, inner: ExecutionBackend, config: FaultConfig) -> None:
-        self.inner = inner
-        self.config = config
-        self.name = inner.name
-        self.workers = inner.workers
-        self._calls = 0
-
-    def score_partitionings(
-        self,
-        engine: "EvaluationEngine",
-        candidates: Sequence[Sequence["Partition"]],
-    ) -> list[float]:
-        return self._inject(
-            engine, lambda: self.inner.score_partitionings(engine, candidates)
-        )
-
-    def score_histogram_tasks(
-        self, engine: "EvaluationEngine", tasks: "Sequence[list]"
-    ) -> list[float]:
-        """Atom-path batches draw from the same ``call-<n>`` key sequence,
-        so a chaos schedule covers both dispatch formats uniformly."""
-        return self._inject(
-            engine, lambda: self.inner.score_histogram_tasks(engine, tasks)
-        )
-
-    def _inject(self, engine: "EvaluationEngine", dispatch) -> list[float]:
-        key = f"call-{self._calls}"
-        self._calls += 1
-        config, metrics = self.config, engine.metrics
-        if config.roll("hang", key):
-            metrics.inc("engine.faults_injected")
-            time.sleep(config.hang_seconds)
-            raise WorkerCrashError(f"injected hang at {key!r} reaped")
-        if config.roll("crash", key):
-            metrics.inc("engine.faults_injected")
-            raise WorkerCrashError(f"injected crash at {key!r}")
-        values = dispatch()
-        if config.roll("corrupt", key):
-            metrics.inc("engine.faults_injected")
-            return config.corrupt_values(values, key)
-        return values
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __repr__(self) -> str:
-        return f"FaultInjectionBackend({self.inner!r}, {self.config})"

@@ -1,65 +1,48 @@
-"""Fault-tolerant execution: retry policies and the retrying backend wrapper.
+"""Fault-tolerance policy for the process-pool backends.
 
 A multi-hour table run dies with its slowest worker unless something between
-the engine and the backend *tolerates* failure.  This module provides the
-two generic pieces:
+the engine and the worker processes *tolerates* failure.  This module holds
+the two pieces the pool's chunk loop
+(:class:`~repro.engine.backends.ProcessPoolBackend`, shared by
+:class:`~repro.engine.backends.ShardedBackend`) is driven by:
 
 * :class:`RetryPolicy` — one dataclass holding every knob: retry budget,
-  per-batch timeout, exponential backoff with jitter, and whether an
-  exhausted backend degrades to the sequential path or raises a typed
+  per-chunk timeout, exponential backoff with jitter, and whether an
+  exhausted backend degrades to the in-process path or raises a typed
   :class:`~repro.exceptions.BackendExhaustedError`.  Surfaced on the CLI as
   ``--engine-retries`` / ``--engine-timeout`` / ``--engine-retry-backoff`` /
   ``--engine-no-fallback``.
-* :class:`RetryingBackend` — wraps *any*
-  :class:`~repro.engine.backends.ExecutionBackend` and retries whole-batch
-  evaluations on transient failures (worker crashes, timeouts, corrupt
-  returns), validating every batch it accepts.  Because retries re-run the
-  same kernels over the same inputs, a run that survives injected faults is
-  bit-identical to an undisturbed one.
+* :func:`validate_batch` — the corruption detector every accepted chunk of
+  objective values passes through.
 
-The hardened :class:`~repro.engine.backends.ProcessPoolBackend` implements
-the same policy natively at *chunk* granularity (straggler re-dispatch, pool
-rebuilds); this wrapper is the backend-agnostic fallback and the natural
-seam for the fault-injection harness (:mod:`repro.engine.faults`).
+Because retries re-run the same kernels over the same inputs, a run that
+survives worker crashes, stragglers or corrupt returns is bit-identical to
+an undisturbed one.  The sequential backend has no worker process that
+could fail, so it takes no policy.
 
 Every retry/timeout/fallback event is counted in the engine's
 :class:`~repro.obs.metrics.MetricsRegistry` (``engine.retries``,
 ``engine.timeouts``, ``engine.worker_crashes``, ``engine.corrupt_results``,
 ``engine.backend_fallbacks``) and recorded as a ``backend.retry`` trace
-span, so chaos runs are observable with the PR-2 tooling.
+span, so chaos runs are observable with the :mod:`repro.obs` tooling.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from repro.engine.backends import ExecutionBackend, SequentialBackend
-from repro.exceptions import (
-    BackendExhaustedError,
-    BackendTimeoutError,
-    CorruptResultError,
-    PartitioningError,
-    WorkerCrashError,
-)
+from repro.exceptions import CorruptResultError, PartitioningError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.partition import Partition
-    from repro.engine.engine import EvaluationEngine
-
-__all__ = ["RetryPolicy", "RetryingBackend", "TRANSIENT_ERRORS", "validate_batch"]
-
-#: Failure types the retry machinery treats as transient (retryable).
-TRANSIENT_ERRORS = (WorkerCrashError, BackendTimeoutError, CorruptResultError)
+__all__ = ["RetryPolicy", "validate_batch"]
 
 
 @dataclass
 class RetryPolicy:
-    """Every fault-tolerance knob of a backend, in one place.
+    """Every fault-tolerance knob of a pool backend, in one place.
 
     Attributes
     ----------
@@ -67,8 +50,8 @@ class RetryPolicy:
         Re-attempts after the first failure (0 = fail fast).  The total
         attempt count is ``max_retries + 1``.
     timeout_seconds:
-        Per-dispatch deadline.  ``None`` (default) disables timeouts; the
-        process backend requires one when hang injection is enabled.
+        Per-chunk deadline.  ``None`` (default) disables timeouts; the
+        pool backends require one when hang injection is enabled.
     backoff_seconds / backoff_multiplier / jitter:
         Delay before retry ``n`` is ``backoff_seconds * multiplier**n``
         scaled by ``1 + jitter * u`` with ``u ~ U[0, 1)``, capping thundering
@@ -121,9 +104,9 @@ def validate_batch(values: "Sequence[float]", expected: int) -> list[float]:
 
     Raises :class:`~repro.exceptions.CorruptResultError` on a length
     mismatch or any non-finite value; returns the values as a list
-    otherwise.  This is the corruption detector the retry layers share —
-    objective values are finite non-negative floats by construction, so
-    anything else is a damaged return.
+    otherwise.  The pool's chunk loop applies it to every chunk of
+    objective values — they are finite non-negative floats by
+    construction, so anything else is a damaged return.
     """
     if values is None or len(values) != expected:
         raise CorruptResultError(
@@ -137,144 +120,3 @@ def validate_batch(values: "Sequence[float]", expected: int) -> list[float]:
             raise CorruptResultError(f"backend returned non-finite value {value!r}")
         out.append(value)
     return out
-
-
-class RetryingBackend(ExecutionBackend):
-    """Bounded-retry wrapper around any execution backend.
-
-    Each ``score_partitionings`` call is attempted up to
-    ``policy.max_retries + 1`` times.  A configured ``timeout_seconds`` runs
-    the inner call on a daemon thread and abandons it at the deadline
-    (counted in ``engine.timeouts``); crashes and corrupt results are
-    retried after a jittered exponential backoff.  On exhaustion the batch
-    either degrades to a fresh :class:`SequentialBackend` (bit-identical
-    values, ``engine.backend_fallbacks``) or raises
-    :class:`~repro.exceptions.BackendExhaustedError`.
-
-    The wrapper keeps the inner backend's ``name``/``workers`` so recorded
-    results are indistinguishable from an unwrapped run.
-    """
-
-    def __init__(
-        self, inner: ExecutionBackend, policy: "RetryPolicy | None" = None
-    ) -> None:
-        self.inner = inner
-        self.policy = policy or RetryPolicy()
-        self.name = inner.name
-        self.workers = inner.workers
-        # Jitter source; seeded so reruns sleep identically (never affects
-        # computed values, only pacing).
-        self._rng = random.Random(0x5EED)
-
-    def score_partitionings(
-        self,
-        engine: "EvaluationEngine",
-        candidates: Sequence[Sequence["Partition"]],
-    ) -> list[float]:
-        candidates = list(candidates)
-        if not candidates:
-            return []
-        return self._run_with_retries(
-            engine,
-            len(candidates),
-            lambda: self.inner.score_partitionings(engine, candidates),
-            lambda: SequentialBackend().score_partitionings(engine, candidates),
-        )
-
-    def score_histogram_tasks(
-        self, engine: "EvaluationEngine", tasks: "Sequence[list]"
-    ) -> list[float]:
-        """Wire-format (atom-path) batches get the exact same retry loop,
-        validation and sequential fallback as partitioning batches."""
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        return self._run_with_retries(
-            engine,
-            len(tasks),
-            lambda: self.inner.score_histogram_tasks(engine, tasks),
-            lambda: ExecutionBackend.score_histogram_tasks(
-                SequentialBackend(), engine, tasks
-            ),
-        )
-
-    def _run_with_retries(
-        self,
-        engine: "EvaluationEngine",
-        n_candidates: int,
-        attempt_call: "Callable[[], Sequence[float]]",
-        fallback_call: "Callable[[], list[float]]",
-    ) -> list[float]:
-        """The bounded-retry loop shared by both batch entry points."""
-        policy, metrics = self.policy, engine.metrics
-        last_error: "BaseException | None" = None
-        for attempt in range(policy.max_retries + 1):
-            if attempt:
-                metrics.inc("engine.retries")
-                with engine.tracer.span(
-                    "backend.retry",
-                    attempt=attempt,
-                    error=type(last_error).__name__,
-                    backend=self.inner.name,
-                ):
-                    policy.sleep(policy.delay(attempt - 1, self._rng))
-            try:
-                values = self._dispatch(n_candidates, attempt_call)
-                return validate_batch(values, n_candidates)
-            except TRANSIENT_ERRORS as exc:
-                last_error = exc
-                if isinstance(exc, BackendTimeoutError):
-                    metrics.inc("engine.timeouts")
-                elif isinstance(exc, CorruptResultError):
-                    metrics.inc("engine.corrupt_results")
-                else:
-                    metrics.inc("engine.worker_crashes")
-        if policy.fallback_sequential:
-            metrics.inc("engine.backend_fallbacks")
-            with engine.tracer.span(
-                "backend.fallback",
-                reason=type(last_error).__name__,
-                n_candidates=n_candidates,
-            ):
-                return fallback_call()
-        raise BackendExhaustedError(policy.max_retries + 1, last_error)
-
-    def _dispatch(
-        self,
-        n_candidates: int,
-        attempt_call: "Callable[[], Sequence[float]]",
-    ) -> "Sequence[float]":
-        """One attempt, with the policy's deadline applied if configured.
-
-        The timed path runs the inner call on a daemon thread and abandons
-        it when the deadline passes — the hung call keeps its thread but can
-        no longer affect the run (its result is discarded).
-        """
-        timeout = self.policy.timeout_seconds
-        if not timeout:
-            return attempt_call()
-        box: "list[tuple[str, object]]" = []
-
-        def target() -> None:
-            try:
-                box.append(("ok", attempt_call()))
-            except BaseException as exc:  # noqa: BLE001 - ferried to caller
-                box.append(("error", exc))
-
-        thread = threading.Thread(target=target, daemon=True)
-        thread.start()
-        thread.join(timeout)
-        if thread.is_alive() or not box:
-            raise BackendTimeoutError(
-                f"batch of {n_candidates} candidates exceeded {timeout}s"
-            )
-        kind, payload = box[0]
-        if kind == "error":
-            raise payload  # type: ignore[misc]
-        return payload  # type: ignore[return-value]
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __repr__(self) -> str:
-        return f"RetryingBackend({self.inner!r}, max_retries={self.policy.max_retries})"

@@ -52,15 +52,8 @@ class BackendError(ReproError):
 
 
 class KernelError(BackendError):
-    """A kernel backend is unknown, unavailable, or failed its self-check.
-
-    Raised when ``--engine-kernel`` names a backend that is not registered,
-    when the optional ``numba`` backend is requested but the dependency is
-    missing, or when a compiled backend's activation self-check found a
-    result that is not bit-identical to the reference ``numpy`` kernels (a
-    compiled path that cannot reproduce the reference exactly refuses to
-    run rather than silently perturbing audit results).
-    """
+    """A kernel backend name is not registered (see
+    :data:`repro.engine.kernels.KERNEL_BACKENDS`)."""
 
 
 class WorkerCrashError(BackendError):

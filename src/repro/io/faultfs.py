@@ -17,12 +17,12 @@ disks fail:
 * ``slow``   — the operation sleeps ``slow_seconds`` first (a saturated
   or dying device).
 
-Decisions reuse the CRC32 schedule of :class:`repro.engine.faults.FaultConfig`
-— seed + stable per-operation key, never global randomness — so the same
-spec produces the same fault sequence on every run, and faults are
-*transient*: each operation consumes a fresh key, so a retry (the
-degraded-mode probe loop in :class:`~repro.service.server.AuditService`)
-eventually lands.
+Decisions use :func:`seeded_roll`, the CRC32 roll every chaos seam
+shares (engine, disk, net, worker): seed + stable per-operation key, never
+global randomness.  The same spec therefore produces the same fault
+sequence on every run, and faults are *transient*: each operation consumes
+a fresh key, so a retry (the degraded-mode probe loop in
+:class:`~repro.service.server.AuditService`) eventually lands.
 
 The module also hosts the :class:`CrashPointRegistry`: named kill
 switches compiled into every fsync/replace boundary.  Arming one via the
@@ -69,9 +69,10 @@ ENV_CRASH_POINT_SKIP = "REPRO_CRASH_POINT_SKIP"
 def seeded_roll(seed: int, kind: str, key: str, rate: float) -> bool:
     """Deterministic Bernoulli draw: CRC32 of ``seed:kind:key`` vs ``rate``.
 
-    Identical to :meth:`repro.engine.faults.FaultConfig.roll` — stable
-    across processes and hash randomisation — so one seed drives one
-    reproducible fault schedule across every chaos seam.
+    The one roll behind every chaos seam — engine
+    (:meth:`repro.engine.faults.FaultConfig.roll`), disk, net and worker —
+    stable across processes and hash randomisation, so one seed drives one
+    reproducible fault schedule across all of them.
     """
     if rate <= 0.0:
         return False

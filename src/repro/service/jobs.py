@@ -153,9 +153,10 @@ class AuditJob:
         :func:`~repro.repair.repair_ranking` (see its docstring).
     kernel:
         Kernel backend for the distance computations (``"numpy"`` /
-        ``"scalar"`` / ``"numba"``; ``None`` = the daemon default).
-        Bit-identical across backends, so results are unchanged whichever
-        is selected — it is a cost knob, not part of the job's identity.
+        ``"scalar"``; ``None`` = the daemon default).  Bit-identical across
+        backends, so results are unchanged whichever is selected — it is a
+        cost knob, not part of the job's identity.  The retired ``"numba"``
+        backend, which journals may still name, maps to ``"numpy"``.
     tenant:
         Fair-share scheduling bucket.  Jobs compete for priority only
         within their tenant; across tenants the scheduler serves queues in
@@ -203,6 +204,9 @@ class AuditJob:
             raise ServiceError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.n_workers is not None and self.n_workers < 1:
             raise ServiceError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.kernel == "numba":
+            # Retired bit-identical twin of numpy; old journals replay.
+            object.__setattr__(self, "kernel", "numpy")
         if self.kernel is not None:
             from repro.engine.kernels import KERNEL_BACKENDS
 

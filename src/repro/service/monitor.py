@@ -67,7 +67,8 @@ class MonitorSpec:
     # Kernel backend for the distance computations; None = daemon default.
     # Bit-identical across backends, and omitted from to_dict() when unset,
     # so pre-existing spec fingerprints (which gate snapshot restore) are
-    # unchanged by its introduction.
+    # unchanged by its introduction.  The retired "numba" backend, which
+    # journals may still name, maps to "numpy".
     kernel: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -107,6 +108,8 @@ class MonitorSpec:
             raise ServiceError(
                 f"unknown weighting {self.weighting!r}; use 'uniform' or 'size'"
             )
+        if self.kernel == "numba":
+            object.__setattr__(self, "kernel", "numpy")
         if self.kernel is not None:
             from repro.engine.kernels import KERNEL_BACKENDS
 

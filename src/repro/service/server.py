@@ -120,11 +120,6 @@ class ServiceConfig:
     host, port:
         HTTP bind address; ``port=0`` picks a free port (see
         :attr:`AuditService.address`).  ``port=None`` disables HTTP.
-    poll_seconds:
-        Historical worker-loop poll interval.  Accepted (and kept for
-        config compatibility) but no longer load-bearing: workers now
-        block on the scheduler and are woken by submissions or the
-        shutdown sentinel, so dispatch latency is event-driven.
     snapshot_dir:
         Where monitored-population snapshots are written after each audit
         (default ``<workdir>/snapshots``).  ``None`` disables snapshotting.
@@ -144,7 +139,7 @@ class ServiceConfig:
         ``None`` or ``0`` disables caching.
     engine_kernel:
         Daemon-default kernel backend for distance computations
-        (``"numpy"`` / ``"scalar"`` / ``"numba"``); jobs and monitors may
+        (``"numpy"`` / ``"scalar"``); jobs and monitors may
         override per spec.  Bit-identical across backends.
     tenant_weights:
         Tenant name → dispatch weight for the weighted fair scheduler;
@@ -192,7 +187,6 @@ class ServiceConfig:
         workers: int = 2,
         host: str = "127.0.0.1",
         port: "int | None" = 0,
-        poll_seconds: float = 0.1,
         snapshot_dir: "str | Path | None" = "",
         snapshot_in: "str | Path | None" = None,
         journal_max_bytes: "int | None" = None,
@@ -223,7 +217,6 @@ class ServiceConfig:
         self.workers = workers
         self.host = host
         self.port = port
-        self.poll_seconds = poll_seconds
         # "" = default location; None = explicitly disabled.
         if snapshot_dir == "":
             self.snapshot_dir: "Path | None" = self.workdir / "snapshots"

@@ -189,7 +189,7 @@ def run_scenario(
         rows (``deadline_hit=True``) instead of running on.
     kernel:
         Kernel backend for the distance computations (``"numpy"`` /
-        ``"scalar"`` / ``"numba"``; ``None`` = default).  Bit-identical
+        ``"scalar"``; ``None`` = default).  Bit-identical
         across backends, so rows are unchanged whichever is selected.
     engine_factory:
         Optional engine factory forwarded to every cell's

@@ -30,7 +30,6 @@ from repro.core.attributes import (
 )
 from repro.core.population import Population
 from repro.core.schema import WorkerSchema
-from repro.engine.kernels import kernel_backend_status
 from repro.marketplace.streaming import MutablePopulation, random_mutation_mix
 from repro.simulation.config import PaperConfig
 from repro.simulation.generator import generate_paper_population, toy_population
@@ -89,30 +88,6 @@ def build_scores(population: Population, seed: int) -> np.ndarray:
 def parity_populations() -> dict:
     """All matrix populations, built once per session."""
     return {name: build_population(name) for name in PARITY_POPULATIONS}
-
-
-# ------------------------------------------------------------ kernel backends
-
-
-def kernel_params():
-    """Every kernel backend as a pytest param; unavailable ones (numba
-    without the dependency installed) are skipped *with a notice* rather
-    than silently dropped from the matrix."""
-    status = kernel_backend_status()
-    available = set(status["available"])
-    params = []
-    for name in status["registered"]:
-        if name in available:
-            marks = ()
-        else:
-            reason = status.get(name, {}).get("reason") or "unavailable"
-            marks = (
-                pytest.mark.skip(
-                    reason=f"kernel backend {name!r} unavailable: {reason}"
-                ),
-            )
-        params.append(pytest.param(name, id=name, marks=marks))
-    return params
 
 
 # -------------------------------------------------------------- digest helpers

@@ -162,7 +162,6 @@ def service(tmp_path):
             tmp_path,
             workers=1,
             port=None,
-            poll_seconds=0.01,
             monitor_poll_seconds=0.02,
         )
     ).start()
@@ -227,8 +226,7 @@ class TestServiceCache:
 
     def test_sigkill_journal_replay_restores_cache_cold_state(self, tmp_path):
         config = ServiceConfig(
-            tmp_path, workers=1, port=None, poll_seconds=0.01,
-            monitor_poll_seconds=0.02,
+            tmp_path, workers=1, port=None, monitor_poll_seconds=0.02,
         )
         svc = AuditService(config).start()
         svc.submit(AuditJob(id="j1", scenario="figure1"))

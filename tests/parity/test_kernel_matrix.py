@@ -14,8 +14,8 @@ import pytest
 from repro.core.partition import Partition
 from repro.engine.engine import EvaluationEngine
 from repro.engine.kernels import (
+    KERNEL_BACKENDS,
     KERNEL_COUNTER_KEYS,
-    available_kernel_backends,
     resolve_kernel_backend,
 )
 from repro.exceptions import KernelError
@@ -25,7 +25,6 @@ from tests.parity.conftest import (
     PARITY_CASES,
     assert_results_identical,
     build_scores,
-    kernel_params,
     result_digest,
     run_audit,
 )
@@ -67,7 +66,7 @@ def reference_run(parity_populations):
 
 
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("kernel", kernel_params())
+@pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
 def test_kernel_backends_bit_identical(
     parity_populations, reference_run, kernel, metric
 ) -> None:
@@ -80,11 +79,9 @@ def test_kernel_backends_bit_identical(
 
 def test_kernel_resolution_errors() -> None:
     assert resolve_kernel_backend(None) == "numpy"
-    with pytest.raises(KernelError, match="unknown kernel backend"):
-        resolve_kernel_backend("bogus")
-    if "numba" not in available_kernel_backends():
-        with pytest.raises(KernelError, match="numba"):
-            resolve_kernel_backend("numba")
+    for retired in ("bogus", "numba"):
+        with pytest.raises(KernelError, match="unknown kernel backend"):
+            resolve_kernel_backend(retired)
 
 
 def test_value_cache_keys_and_counters_identical_across_kernels(
@@ -105,7 +102,7 @@ def test_value_cache_keys_and_counters_identical_across_kernels(
             for value in np.unique(codes)
         ]
 
-    for kernel in available_kernel_backends():
+    for kernel in KERNEL_BACKENDS:
         engine = EvaluationEngine(population, scores, kernel=kernel)
         for partitions in (split("gender"), split("country")):
             engine.unfairness(partitions)
@@ -132,7 +129,7 @@ def test_value_cache_keys_and_counters_identical_across_kernels(
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-@pytest.mark.parametrize("kernel", kernel_params())
+@pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
 def test_full_matrix_bit_identical(
     parity_populations, reference_run, kernel, backend, metric, weighting, algorithm
 ) -> None:
@@ -169,7 +166,7 @@ def test_full_matrix_bit_identical(
 
 @pytest.mark.parity
 @pytest.mark.parametrize("case", PARITY_CASES, ids=lambda c: c[0])
-@pytest.mark.parametrize("kernel", kernel_params())
+@pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
 def test_all_scenarios_bit_identical(
     parity_populations, reference_run, kernel, case
 ) -> None:

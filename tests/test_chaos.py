@@ -41,7 +41,6 @@ def _service(tmp_path, **overrides) -> AuditService:
         queue_limit=8,
         workers=1,
         port=None,
-        poll_seconds=0.01,
         probe_backoff_seconds=0.02,
         probe_backoff_max_seconds=0.1,
     )

@@ -74,6 +74,20 @@ class TestEngineFlagSurface:
         assert args.workers == 100
         assert args.engine_workers is None
 
+    def test_fault_injection_needs_a_pool_backend(
+        self, tmp_path: Path, capsys
+    ) -> None:
+        csv_path = tmp_path / "workers.csv"
+        main(["generate", "--workers", "30", "--seed", "5", "--out", str(csv_path)])
+        capsys.readouterr()
+        argv = ["audit", str(csv_path), "--function", "f6"]
+        assert main([*argv, "--inject-faults", "crash=0.3,seed=1"]) == 2
+        assert "worker pool" in capsys.readouterr().err
+
+    def test_numba_kernel_is_not_accepted(self) -> None:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["audit", "w.csv", "--engine-kernel", "numba"])
+
     def test_workload_has_no_deprecated_aliases(self) -> None:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["workload", "w.csv", "t.json", "--backend", "process"])
@@ -99,6 +113,44 @@ class TestEngineFlagSurface:
             return [line for line in text.splitlines() if "runtime" not in line]
 
         assert stable(old_out) == stable(new_out)
+
+
+class TestServeFlagSurface:
+    """``serve`` takes only the engine flags the daemon reads."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--inject-faults", "crash=1.0,seed=1"],
+            ["--engine-backend", "process"],
+            ["--engine-workers", "2"],
+            ["--trace-out", "trace.json"],
+        ],
+        ids=["inject-faults", "engine-backend", "engine-workers", "trace-out"],
+    )
+    def test_unread_engine_flags_exit_2(self, tmp_path: Path, extra) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--workdir", str(tmp_path), "--port", "0", *extra])
+        assert excinfo.value.code == 2
+
+    def test_retry_flags_need_shard_workers(self, tmp_path: Path, capsys) -> None:
+        argv = ["serve", "--workdir", str(tmp_path), "--port", "0"]
+        assert main([*argv, "--engine-retries", "2"]) == 2
+        assert "--shard-workers" in capsys.readouterr().err
+
+    def test_daemon_engine_flags_parse(self) -> None:
+        args = build_parser().parse_args(
+            [
+                "serve", "--workdir", "state", "--shard-workers", "2",
+                "--engine-kernel", "scalar", "--log-level", "info",
+                "--engine-retries", "4", "--engine-timeout", "5",
+                "--engine-retry-backoff", "0.1", "--engine-no-fallback",
+            ]
+        )
+        assert args.engine_kernel == "scalar"
+        assert args.engine_retries == 4
+        assert args.engine_no_fallback
+        assert not hasattr(args, "inject_faults")
 
 
 class TestTraceOut:

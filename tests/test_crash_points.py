@@ -44,7 +44,7 @@ workdir, count = sys.argv[1], int(sys.argv[2])
 from repro.service import AuditJob, AuditService, ServiceConfig
 
 service = AuditService(
-    ServiceConfig(workdir, queue_limit=64, workers=1, port=None, poll_seconds=0.01)
+    ServiceConfig(workdir, queue_limit=64, workers=1, port=None)
 )
 service.start()
 for index in range(count):

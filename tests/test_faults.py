@@ -1,10 +1,13 @@
-"""Fault injection + retry machinery: determinism, bit-identity, typed failure.
+"""Fault injection + the pool retry loop: determinism, bit-identity, typed
+failure.
 
 The contract under test (see docs/robustness.md): a run that survives
 injected faults returns values bit-identical to an undisturbed run, because
-every recovery path (retry, straggler re-dispatch, pool rebuild, sequential
-degradation) recomputes through the same kernels; and an exhausted retry
-budget fails fast with a typed error instead of hanging.
+every recovery path (retry, straggler re-dispatch, pool rebuild, in-process
+degradation) recomputes through the same arithmetic; and an exhausted retry
+budget fails fast with a typed error instead of hanging.  Faults fire where
+a worker process can really fail: in the workers of the ``process`` and
+``sharded`` backends, which share one chunk loop.
 """
 
 from __future__ import annotations
@@ -13,16 +16,21 @@ import numpy as np
 import pytest
 
 from repro.core.algorithms import get_algorithm
-from repro.engine.backends import ProcessPoolBackend, get_backend
-from repro.engine.faults import FaultConfig, FaultInjectionBackend
-from repro.engine.resilience import RetryingBackend, RetryPolicy, validate_batch
+from repro.engine.backends import (
+    ProcessPoolBackend,
+    SequentialBackend,
+    ShardedBackend,
+    get_backend,
+)
+from repro.engine.faults import FaultConfig
+from repro.engine.resilience import RetryPolicy, validate_batch
 from repro.exceptions import (
     BackendExhaustedError,
-    BackendTimeoutError,
     CorruptResultError,
     PartitioningError,
     WorkerCrashError,
 )
+from repro.io.faultfs import seeded_roll
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.simulation.config import PaperConfig
@@ -49,6 +57,12 @@ class TestFaultConfig:
         assert first != [other.roll("crash", k) for k in keys]
         # rate is respected in aggregate (crc32 is uniform enough for this)
         assert 0.3 < np.mean(first) < 0.7
+
+    def test_roll_is_the_shared_seeded_roll(self):
+        config = FaultConfig(crash_rate=0.4, corrupt_rate=0.2, seed=9)
+        for key in (f"0-{i}-0" for i in range(100)):
+            assert config.roll("crash", key) == seeded_roll(9, "crash", key, 0.4)
+            assert config.roll("corrupt", key) == seeded_roll(9, "corrupt", key, 0.2)
 
     def test_zero_rate_never_fires(self):
         config = FaultConfig(crash_rate=0.0, seed=1)
@@ -91,7 +105,7 @@ class TestFaultConfig:
             FaultConfig.parse(spec)
 
 
-# ------------------------------------------------- RetryingBackend (generic)
+# ------------------------------------------------ the pool backends' retry loop
 
 
 def _audit_unfairness(population, scores, backend):
@@ -99,7 +113,32 @@ def _audit_unfairness(population, scores, backend):
     return result.unfairness
 
 
+#: The backends with worker processes; both run the pool's chunk loop.
+POOL_BACKENDS = ("process", "sharded")
+
+
+def _pool_backend(name: str, policy: RetryPolicy, faults=None):
+    """A two-worker pool backend; ``shard_min_rows=2`` shards every
+    multi-atom histogram, so small populations exercise the shard loop."""
+    if name == "sharded":
+        return ShardedBackend(workers=2, shard_min_rows=2, policy=policy, faults=faults)
+    return ProcessPoolBackend(workers=2, policy=policy, faults=faults)
+
+
+def _run_on(name, population, scores, policy, faults=None, **kwargs):
+    backend = _pool_backend(name, policy, faults)
+    try:
+        return get_algorithm("balanced").run(
+            population, scores, backend=backend, **kwargs
+        )
+    finally:
+        backend.close()
+
+
 class TestRetryingBackend:
+    """The retrying backends — ``process`` and ``sharded`` share the
+    pool's chunk loop — under worker-side fault injection."""
+
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
     def test_bit_identical_under_injected_crashes(
         self, paper_population_small, rate
@@ -108,31 +147,25 @@ class TestRetryingBackend:
         clean = _audit_unfairness(paper_population_small, scores, None)
         faults = FaultConfig(crash_rate=rate, corrupt_rate=rate / 2, seed=17)
         policy = RetryPolicy(max_retries=10, backoff_seconds=0.0)
-        backend = get_backend("sequential", policy=policy, faults=faults)
-        assert _audit_unfairness(paper_population_small, scores, backend) == clean
+        for name in POOL_BACKENDS:
+            result = _run_on(name, paper_population_small, scores, policy, faults)
+            assert result.unfairness == clean, name
 
     def test_counters_and_retry_spans(self, small_population):
         scores = np.linspace(0.0, 0.99, small_population.size)
-        faults = FaultConfig(crash_rate=0.5, seed=0)  # seed 0 fires on call-0
-        backend = get_backend(
-            "sequential",
-            policy=RetryPolicy(max_retries=10, backoff_seconds=0.0),
-            faults=faults,
-        )
-        metrics = MetricsRegistry()
-        tracer = Tracer()
-        get_algorithm("balanced").run(
-            small_population,
-            scores,
-            backend=backend,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        counters = _counters(metrics)
-        assert counters["engine.retries"] >= 1
-        assert counters["engine.worker_crashes"] >= 1
-        assert counters["engine.faults_injected"] >= 1
-        assert any(s.name == "backend.retry" for s in tracer.iter_spans())
+        faults = FaultConfig(crash_rate=0.5, seed=0)
+        policy = RetryPolicy(max_retries=10, backoff_seconds=0.0)
+        for name in POOL_BACKENDS:
+            metrics = MetricsRegistry()
+            tracer = Tracer()
+            _run_on(
+                name, small_population, scores, policy, faults,
+                tracer=tracer, metrics=metrics,
+            )
+            counters = _counters(metrics)
+            assert counters["engine.retries"] >= 1, name
+            assert counters["engine.worker_crashes"] >= 1, name
+            assert any(s.name == "backend.retry" for s in tracer.iter_spans()), name
 
     def test_exhaustion_raises_typed_error_not_hang(self, small_population):
         scores = np.linspace(0.0, 0.99, small_population.size)
@@ -140,11 +173,11 @@ class TestRetryingBackend:
         policy = RetryPolicy(
             max_retries=2, backoff_seconds=0.0, fallback_sequential=False
         )
-        backend = get_backend("sequential", policy=policy, faults=faults)
-        with pytest.raises(BackendExhaustedError) as excinfo:
-            get_algorithm("balanced").run(small_population, scores, backend=backend)
-        assert excinfo.value.attempts == 3
-        assert isinstance(excinfo.value.last_error, WorkerCrashError)
+        for name in POOL_BACKENDS:
+            with pytest.raises(BackendExhaustedError) as excinfo:
+                _run_on(name, small_population, scores, policy, faults)
+            assert excinfo.value.attempts == 3, name
+            assert isinstance(excinfo.value.last_error, WorkerCrashError), name
 
     def test_exhaustion_with_fallback_recovers_bit_identically(
         self, small_population
@@ -152,38 +185,44 @@ class TestRetryingBackend:
         scores = np.linspace(0.0, 0.99, small_population.size)
         clean = _audit_unfairness(small_population, scores, None)
         faults = FaultConfig(crash_rate=1.0, seed=1)
-        backend = get_backend(
-            "sequential",
-            policy=RetryPolicy(max_retries=1, backoff_seconds=0.0),
-            faults=faults,
-        )
-        metrics = MetricsRegistry()
-        result = get_algorithm("balanced").run(
-            small_population, scores, backend=backend, metrics=metrics
-        )
-        assert result.unfairness == clean
-        assert _counters(metrics)["engine.backend_fallbacks"] >= 1
+        policy = RetryPolicy(max_retries=1, backoff_seconds=0.0)
+        for name in POOL_BACKENDS:
+            metrics = MetricsRegistry()
+            result = _run_on(
+                name, small_population, scores, policy, faults, metrics=metrics
+            )
+            assert result.unfairness == clean, name
+            assert _counters(metrics)["engine.backend_fallbacks"] >= 1, name
 
     def test_timeout_reaps_hung_dispatch(self, small_population):
         scores = np.linspace(0.0, 0.99, small_population.size)
         clean = _audit_unfairness(small_population, scores, None)
-        faults = FaultConfig(hang_rate=0.3, seed=5, hang_seconds=0.35)
+        faults = FaultConfig(hang_rate=0.3, seed=5, hang_seconds=0.2)
         policy = RetryPolicy(
             max_retries=10, timeout_seconds=0.1, backoff_seconds=0.0
         )
-        backend = get_backend("sequential", policy=policy, faults=faults)
-        metrics = MetricsRegistry()
-        result = get_algorithm("balanced").run(
-            small_population, scores, backend=backend, metrics=metrics
-        )
-        assert result.unfairness == clean
-        assert _counters(metrics)["engine.timeouts"] >= 1
+        for name in POOL_BACKENDS:
+            metrics = MetricsRegistry()
+            result = _run_on(
+                name, small_population, scores, policy, faults, metrics=metrics
+            )
+            assert result.unfairness == clean, name
+            assert _counters(metrics)["engine.timeouts"] >= 1, name
 
-    def test_wrapper_preserves_backend_identity(self):
-        inner = get_backend("sequential")
-        wrapped = RetryingBackend(inner, FAST)
-        assert wrapped.name == inner.name
-        assert wrapped.workers == inner.workers
+    def test_sequential_backend_has_no_retry_layer(self):
+        backend = get_backend("sequential", policy=FAST)
+        assert type(backend) is SequentialBackend
+
+    def test_fault_injection_needs_a_worker_pool(self, small_population):
+        scores = np.linspace(0.0, 0.99, small_population.size)
+        with pytest.raises(PartitioningError, match="worker pool"):
+            get_backend("sequential", faults=FaultConfig(crash_rate=0.1))
+        with pytest.raises(PartitioningError, match="worker pool"):
+            get_algorithm("balanced").run(
+                small_population, scores, fault_config=FaultConfig(crash_rate=0.1)
+            )
+        # A schedule that can never fire is not injection.
+        assert type(get_backend(None, faults=FaultConfig())) is SequentialBackend
 
     def test_policy_validation(self):
         with pytest.raises(PartitioningError):
@@ -388,21 +427,3 @@ class TestFaultCli:
 
         args = build_parser().parse_args(["audit", "pop.csv"])
         assert _resilience(args) == (None, None)
-
-
-class TestFaultInjectionBackendWrapper:
-    def test_counts_injected_faults(self, small_population):
-        scores = np.linspace(0.0, 0.99, small_population.size)
-        faults = FaultConfig(crash_rate=1.0, seed=1)
-        inner = get_backend("sequential")
-        backend = RetryingBackend(
-            FaultInjectionBackend(inner, faults),
-            RetryPolicy(max_retries=0, backoff_seconds=0.0),
-        )
-        metrics = MetricsRegistry()
-        get_algorithm("balanced").run(
-            small_population, scores, backend=backend, metrics=metrics
-        )
-        counters = _counters(metrics)
-        assert counters["engine.faults_injected"] >= 1
-        assert counters["engine.backend_fallbacks"] >= 1

@@ -1,8 +1,8 @@
 """Golden regression tests for the paper-table pipeline.
 
 Committed JSON files under ``tests/golden/`` pin the exact output of
-small-population table1/table2 runs (all five paper algorithms, fixed
-seeds).  Any change to the scoring kernels, search order, engine caching or
+small-population table1/table2/table3 runs (all five paper algorithms,
+fixed seeds).  Any change to the scoring kernels, search order, engine caching or
 RNG plumbing that shifts a value — even in the 15th decimal — fails here
 before it silently skews a full reproduction run.
 
@@ -22,7 +22,11 @@ import pytest
 
 from repro.simulation.config import PaperConfig
 from repro.simulation.runner import run_scenario
-from repro.simulation.scenarios import table1_scenario, table2_scenario
+from repro.simulation.scenarios import (
+    table1_scenario,
+    table2_scenario,
+    table3_scenario,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -41,13 +45,24 @@ CASES = {
         "population_seed": 42,
         "run_seed": 42,
     },
+    # The paper's headline result: the biased functions f6-f9.
+    "table3_small": {
+        "builder": "table3",
+        "n_workers": 200,
+        "population_seed": 42,
+        "run_seed": 42,
+    },
 }
 
 #: Absolute tolerance on objective values.  The pipeline is deterministic,
 #: so this only allows for float formatting round-trip noise.
 TOLERANCE = 1e-12
 
-_BUILDERS = {"table1": table1_scenario, "table2": table2_scenario}
+_BUILDERS = {
+    "table1": table1_scenario,
+    "table2": table2_scenario,
+    "table3": table3_scenario,
+}
 
 
 def _run_case(spec: dict):

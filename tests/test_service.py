@@ -22,6 +22,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import zlib
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.jobs import TERMINAL_STATES, check_transition
+from repro.service.monitor import MonitorSpec
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -48,7 +50,7 @@ def _job(job_id: str, **overrides) -> AuditJob:
 @pytest.fixture()
 def service(tmp_path):
     svc = AuditService(
-        ServiceConfig(tmp_path, queue_limit=2, workers=1, port=None, poll_seconds=0.01)
+        ServiceConfig(tmp_path, queue_limit=2, workers=1, port=None)
     )
     svc.start()
     yield svc
@@ -170,7 +172,7 @@ class TestQuarantine:
         assert service.record("healthy").state is JobState.DONE
 
     def test_quarantine_is_durable(self, tmp_path, monkeypatch):
-        config = ServiceConfig(tmp_path, workers=1, port=None, poll_seconds=0.01)
+        config = ServiceConfig(tmp_path, workers=1, port=None)
         monkeypatch.setattr(
             AuditService,
             "_execute",
@@ -215,8 +217,7 @@ class TestGracefulDrain:
 
         monkeypatch.setattr(AuditService, "_execute", slow)
         svc = AuditService(
-            ServiceConfig(tmp_path, queue_limit=4, workers=1, port=None,
-                          poll_seconds=0.01)
+            ServiceConfig(tmp_path, queue_limit=4, workers=1, port=None)
         ).start()
         svc.submit(_job("inflight"))
         assert started.wait(5)
@@ -230,7 +231,7 @@ class TestGracefulDrain:
         assert not any(j.state is JobState.RUNNING for j in jobs.values())
 
     def test_restart_resumes_queued_jobs(self, tmp_path):
-        config = ServiceConfig(tmp_path, workers=1, port=None, poll_seconds=0.01)
+        config = ServiceConfig(tmp_path, workers=1, port=None)
         with AuditService(config) as svc:
             svc.submit(_job("early"))
             assert svc.drain(timeout=60)
@@ -248,8 +249,7 @@ class TestHTTPEndpoints:
     @pytest.fixture()
     def http_service(self, tmp_path):
         svc = AuditService(
-            ServiceConfig(tmp_path, queue_limit=2, workers=1, port=0,
-                          poll_seconds=0.01)
+            ServiceConfig(tmp_path, queue_limit=2, workers=1, port=0)
         ).start()
         host, port = svc.address
         yield svc, f"http://{host}:{port}"
@@ -319,8 +319,7 @@ class TestV1Api:
     @pytest.fixture()
     def http_service(self, tmp_path):
         svc = AuditService(
-            ServiceConfig(tmp_path, queue_limit=2, workers=1, port=0,
-                          poll_seconds=0.01)
+            ServiceConfig(tmp_path, queue_limit=2, workers=1, port=0)
         ).start()
         host, port = svc.address
         yield svc, f"http://{host}:{port}"
@@ -468,6 +467,36 @@ class TestJobSchemaV2:
         service.submit(_job("k1", kind="mitigate", strategy="quantile"))
         assert service.drain(timeout=60)
         assert service.record("k1").as_dict()["kind"] == "mitigate"
+
+    def test_journal_naming_retired_numba_kernel_replays(self, tmp_path):
+        # A submit record exactly as older daemons journaled it: raw JSON
+        # plus CRC32, naming the retired "numba" kernel backend.
+        job = {
+            "id": "legacy", "scenario": "figure1", "algorithm": "balanced",
+            "functions": [], "seed": 0, "n_workers": None, "priority": 0,
+            "deadline_seconds": None, "max_attempts": 3, "metric": "emd",
+            "kind": "audit", "strategy": "fair_topk", "top_k": None,
+            "min_proportion": 0.8, "alpha": 0.1, "amount": 1.0,
+            "kernel": "numba", "tenant": "default", "schema": "repro.job/v2",
+        }
+        lines = []
+        for record in (
+            {"type": "header", "schema": "repro.journal/v1"},
+            {"type": "submit", "ts": 0.0, "job": job},
+        ):
+            body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            lines.append(json.dumps({"crc": zlib.crc32(body.encode()), "rec": record}))
+        (tmp_path / "journal.jsonl").write_text("\n".join(lines) + "\n")
+
+        replayed = JobJournal(tmp_path / "journal.jsonl").replay()["legacy"]
+        assert replayed.job.kernel == "numpy"
+        config = ServiceConfig(tmp_path, workers=1, port=None)
+        with AuditService(config) as svc:
+            assert svc.drain(timeout=60)
+            legacy = svc.record("legacy")
+        assert legacy.state is JobState.DONE
+        assert legacy.result["rows"]
+        assert MonitorSpec(id="m", kernel="numba").kernel == "numpy"
 
 
 class TestMitigateJobs:

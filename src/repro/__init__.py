@@ -49,7 +49,6 @@ from repro.core.unfairness import UnfairnessEvaluator, unfairness
 from repro.engine import (
     Deadline,
     EvaluationEngine,
-    FaultConfig,
     RetryPolicy,
     SearchContext,
     StepDeadline,
@@ -166,9 +165,8 @@ __all__ = [
     "EvaluationEngine",
     "SearchContext",
     "available_backends",
-    # resilience & fault injection
+    # resilience
     "RetryPolicy",
-    "FaultConfig",
     "CheckpointStore",
     # deadlines
     "Deadline",

@@ -51,30 +51,27 @@ The four engine-using subcommands (``audit``, ``compare``, ``workload``,
 * ``--log-level LEVEL`` configures structured logging;
 * ``--engine-retries`` / ``--engine-timeout`` / ``--engine-retry-backoff``
   / ``--engine-no-fallback`` configure the worker pool's fault tolerance
-  and ``--inject-faults SPEC`` enables deterministic chaos testing in the
-  pool workers (see ``docs/robustness.md``).  Fault injection needs a pool
-  backend: with ``sequential`` the command exits 2.
+  and ``--chaos SPEC`` with ``engine-*`` keys enables deterministic chaos
+  testing in the pool workers (see ``docs/robustness.md``).  Fault
+  injection needs a pool backend: with ``sequential`` the command exits 2.
 
 ``serve`` takes only the engine flags the daemon reads: ``--engine-kernel``,
 ``--log-level`` and the retry flags, which need ``--shard-workers`` (the
-only work the daemon fans out to worker processes).
+only work the daemon fans out to worker processes).  Its ``--chaos`` takes
+the same grammar with ``disk-*``, ``net-*`` and ``worker-*`` keys.
 
 ``experiment`` additionally supports ``--checkpoint-dir DIR`` (persist
 every completed cell atomically) and ``--resume DIR`` (skip cells already
 checkpointed there; results are bit-identical to an uninterrupted run).
-
-The pre-observability spellings (``--backend`` everywhere, ``--workers``
-for the pool size on ``audit``/``compare``) still parse as hidden aliases
-but emit a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Sequence
 
+from repro.chaos import ChaosConfig
 from repro.core.algorithms import PAPER_ALGORITHMS, available_algorithms
 from repro.core.audit import FairnessAuditor
 from repro.core.histogram import HistogramSpec
@@ -126,47 +123,29 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _fault_spec(value: str) -> "FaultConfig":
-    from repro.engine.faults import FaultConfig
+def _chaos_spec(*families: str):
+    """argparse type of ``--chaos``: :meth:`ChaosConfig.parse` admitting
+    only ``families``, its errors (which name the entry) turned into a
+    usage error."""
 
-    try:
-        return FaultConfig.parse(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    def parse(value: str) -> ChaosConfig:
+        try:
+            return ChaosConfig.parse(value, families)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-
-class _DeprecatedAlias(argparse.Action):
-    """Hidden alias for a renamed option: stores into the new destination
-    and emits a :class:`DeprecationWarning` (shown once per process under
-    the default warning filter)."""
-
-    def __init__(self, option_strings, dest, preferred: str = "", **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        super().__init__(option_strings, dest, **kwargs)
-        self.preferred = preferred
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; use {self.preferred} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
+    return parse
 
 
 def _add_engine_arguments(
-    parser: argparse.ArgumentParser,
-    alias_backend: bool = False,
-    alias_workers: bool = False,
-    daemon: bool = False,
+    parser: argparse.ArgumentParser, daemon: bool = False
 ) -> None:
     """The shared engine/observability flag surface of the four engine-using
     subcommands: ``--engine-backend`` / ``--engine-workers`` /
-    ``--engine-kernel`` / the retry flags / ``--inject-faults`` /
-    ``--trace-out`` / ``--log-level``, plus hidden deprecated aliases for
-    the old spellings (``--backend``, and ``--workers`` where it meant the
-    pool size).  ``daemon=True`` (``serve``) adds only the flags the daemon
-    reads: ``--engine-kernel``, the retry flags and ``--log-level``."""
+    ``--engine-kernel`` / the retry flags / ``--chaos`` (``engine-*`` keys)
+    / ``--trace-out`` / ``--log-level``.  ``daemon=True`` (``serve``) adds
+    only the flags the daemon reads: ``--engine-kernel``, the retry flags
+    and ``--log-level``."""
     group = parser.add_argument_group("evaluation engine")
     if not daemon:
         group.add_argument(
@@ -225,14 +204,13 @@ def _add_engine_arguments(
     )
     if not daemon:
         group.add_argument(
-            "--inject-faults",
-            dest="inject_faults",
-            type=_fault_spec,
+            "--chaos",
+            type=_chaos_spec("engine"),
             default=None,
             metavar="SPEC",
             help="deterministic chaos mode in the pool workers of "
-            "--engine-backend process or sharded, e.g. "
-            "'crash=0.3,hang=0.1,corrupt=0.05,seed=1' (see docs/robustness.md)",
+            "--engine-backend process or sharded, e.g. 'engine-crash=0.3,"
+            "engine-hang=0.1,engine-corrupt=0.05,seed=1' (see docs/robustness.md)",
         )
         group.add_argument(
             "--trace-out",
@@ -248,22 +226,6 @@ def _add_engine_arguments(
         choices=["debug", "info", "warning", "error"],
         help="enable structured logging at this level",
     )
-    if alias_backend:
-        parser.add_argument(
-            "--backend",
-            dest="engine_backend",
-            action=_DeprecatedAlias,
-            preferred="--engine-backend",
-            choices=sorted(available_backends()),
-        )
-    if alias_workers:
-        parser.add_argument(
-            "--workers",
-            dest="engine_workers",
-            action=_DeprecatedAlias,
-            preferred="--engine-workers",
-            type=_positive_int,
-        )
 
 
 def _unit_interval(value: str) -> float:
@@ -362,7 +324,8 @@ def _resilience(args: argparse.Namespace) -> "tuple[object, object]":
     """
     from repro.engine.resilience import RetryPolicy
 
-    faults = getattr(args, "inject_faults", None)
+    chaos = getattr(args, "chaos", None)
+    faults = chaos.engine if chaos is not None and chaos.engine.enabled else None
     timeout = getattr(args, "engine_timeout", None)
     if timeout is None and faults is not None and faults.hang_rate > 0:
         timeout = 5.0
@@ -449,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append per-group ASCII score histograms to the report",
     )
-    _add_engine_arguments(audit, alias_backend=True, alias_workers=True)
+    _add_engine_arguments(audit)
 
     compare = subparsers.add_parser(
         "compare", help="run every algorithm on one scoring function"
@@ -457,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("population", help="population CSV written by 'generate'")
     compare.add_argument("--function", default="f1", help="scoring function f1..f9")
     compare.add_argument("--seed", type=int, default=0, help="seed for randomised algorithms")
-    _add_engine_arguments(compare, alias_backend=True, alias_workers=True)
+    _add_engine_arguments(compare)
 
     significance = subparsers.add_parser(
         "significance",
@@ -565,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from a checkpoint directory, skipping completed cells "
         "(implies --checkpoint-dir DIR); bit-identical to an uninterrupted run",
     )
-    _add_engine_arguments(experiment, alias_backend=True)
+    _add_engine_arguments(experiment)
     _add_repair_arguments(experiment)
 
     serve = subparsers.add_parser(
@@ -681,6 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--chaos",
+        type=_chaos_spec("disk", "net", "worker"),
         default=None,
         metavar="SPEC",
         help="seeded service-wide fault injection, e.g. "
@@ -1256,15 +1220,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         snapshot_dir = None
     else:
         snapshot_dir = args.snapshot_out
-    chaos = None
-    if args.chaos:
-        from repro.service.chaos import ChaosConfig
-
-        try:
-            chaos = ChaosConfig.parse(args.chaos)
-        except ValueError as exc:
-            print(f"--chaos: {exc}", file=sys.stderr)
-            return 2
+    chaos = args.chaos
     service = AuditService(
         ServiceConfig(
             args.workdir,
@@ -1499,8 +1455,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return commands[args.command](args)
     except PartitioningError as exc:
-        # Invalid engine configuration, e.g. --inject-faults without a
-        # worker pool to inject into.
+        # Invalid engine configuration, e.g. --chaos engine-* keys without
+        # a worker pool to inject into.
         print(f"repro-audit: error: {exc}", file=sys.stderr)
         return 2
 

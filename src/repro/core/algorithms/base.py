@@ -185,7 +185,7 @@ class PartitioningAlgorithm(abc.ABC):
             the instrumentation free.
         retry_policy, fault_config:
             Fault tolerance and fault injection for the backend (see
-            :mod:`repro.engine.resilience` / :mod:`repro.engine.faults`).
+            :mod:`repro.engine.resilience` / :mod:`repro.chaos`).
         use_atoms:
             Atom-table fast path switch forwarded to the engine (default
             on in incremental mode; ``False`` forces the member-array cost

@@ -6,9 +6,9 @@ distance kernels, :mod:`repro.engine.incremental` for O(k·Δ) frontier
 updates, :mod:`repro.engine.backends` for the execution backends (the
 process pool's chunk loop is the one retry loop),
 :mod:`repro.engine.resilience` for its retry/timeout/fallback policy,
-:mod:`repro.engine.faults` for deterministic fault injection into pool
-workers, and :mod:`repro.engine.streaming` for O(Δ) re-audits of mutable
-populations.
+and :mod:`repro.engine.streaming` for O(Δ) re-audits of mutable
+populations.  Fault injection into pool workers lives in
+:mod:`repro.chaos`.
 """
 
 from repro.engine.backends import (
@@ -22,7 +22,6 @@ from repro.engine.backends import (
 from repro.engine.context import SearchContext
 from repro.engine.deadline import Deadline, StepDeadline
 from repro.engine.engine import EngineStats, EvaluationEngine
-from repro.engine.faults import FaultConfig
 from repro.engine.resilience import RetryPolicy, validate_batch
 from repro.engine.incremental import FullRecomputeObjective, IncrementalObjective
 from repro.engine.kernels import (
@@ -63,7 +62,6 @@ __all__ = [
     "get_backend",
     "RetryPolicy",
     "validate_batch",
-    "FaultConfig",
     "IncrementalObjective",
     "FullRecomputeObjective",
     "cross_matrix",

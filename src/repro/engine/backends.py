@@ -25,7 +25,9 @@ irrecoverable the batch (and, for repeated pool breakage, the whole
 backend) degrades to the in-process path, which computes the *same
 values* through the same arithmetic.  Exhausting the budget with fallback
 disabled raises a typed :class:`~repro.exceptions.BackendExhaustedError`.
-A seeded :class:`~repro.engine.faults.FaultConfig` can be attached to
+With a per-chunk timeout, at most ``workers`` chunk attempts are on the
+pool at once, so a deadline counts only the time a worker has the chunk.
+A seeded :class:`~repro.chaos.EngineFaults` schedule can be attached to
 inject crashes, hangs and corrupt returns inside the workers (chaos mode /
 test harness).  The sequential backend has no worker process that could
 fail, so it takes neither.
@@ -48,23 +50,26 @@ import multiprocessing
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.chaos import corrupt_values
 from repro.exceptions import (
     BackendExhaustedError,
     BackendTimeoutError,
     CorruptResultError,
     PartitioningError,
+    WorkerCrashError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos import EngineFaults
     from repro.core.partition import Partition
     from repro.engine.engine import EvaluationEngine
-    from repro.engine.faults import FaultConfig
     from repro.engine.resilience import RetryPolicy
 
 __all__ = [
@@ -282,14 +287,22 @@ def _run_chunk(
     """One attempt of ``fn`` over ``chunk`` under the worker's fault schedule.
 
     The task key seeds the fault decisions: retries roll fresh dice, so
-    injected faults are transient by construction.
+    injected faults are transient by construction.  The order is fixed:
+    hang first (the attempt becomes a straggler), then crash — a hard
+    crash kills the worker — then corruption of the returned values.
+    Fired faults are not counted: they happen in a worker process.
     """
     faults = _WORKER_STATE.get("faults")
     if faults is not None:
-        faults.maybe_crash_or_hang(task_key)
+        if faults.fire("hang", task_key):
+            time.sleep(faults.hang_seconds)
+        if faults.fire("crash", task_key):
+            if faults.crash_hard:
+                os._exit(3)
+            raise WorkerCrashError(f"injected crash at {task_key!r}")
     values = fn(_WORKER_STATE, chunk)
-    if faults is not None and faults.roll("corrupt", task_key):
-        values = faults.corrupt_values(values, task_key)
+    if faults is not None and faults.fire("corrupt", task_key):
+        values = corrupt_values(values, faults.seed, task_key)
     return values
 
 
@@ -308,18 +321,15 @@ def _validate_counts(values: "list | None", expected: int) -> list:
 
 
 class _ChunkTask:
-    """Bookkeeping for one in-flight chunk: worker function, future,
-    attempt, deadline."""
+    """One chunk's current attempt: its number, plus its future and
+    deadline while the attempt is on the pool (``None`` while queued)."""
 
-    __slots__ = ("fn", "future", "attempt", "deadline")
+    __slots__ = ("attempt", "future", "deadline")
 
-    def __init__(
-        self, fn, future: Future, attempt: int, deadline: "float | None"
-    ) -> None:
-        self.fn = fn
-        self.future = future
-        self.attempt = attempt
-        self.deadline = deadline
+    def __init__(self) -> None:
+        self.attempt = 0
+        self.future: "Future | None" = None
+        self.deadline: "float | None" = None
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -337,7 +347,7 @@ class ProcessPoolBackend(ExecutionBackend):
         timeouts, retry budget, backoff and sequential degradation (default:
         ``RetryPolicy()`` — 3 retries, no timeout, fallback enabled).
     faults:
-        Optional :class:`~repro.engine.faults.FaultConfig` shipped to the
+        Optional :class:`~repro.chaos.EngineFaults` schedule shipped to the
         workers; injects seeded crashes/hangs/corruption per chunk attempt.
         Hang injection requires ``policy.timeout_seconds``.
     """
@@ -349,7 +359,7 @@ class ProcessPoolBackend(ExecutionBackend):
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
         policy: "RetryPolicy | None" = None,
-        faults: "FaultConfig | None" = None,
+        faults: "EngineFaults | None" = None,
     ) -> None:
         from repro.engine.resilience import RetryPolicy
 
@@ -377,6 +387,9 @@ class ProcessPoolBackend(ExecutionBackend):
         #: Shared-memory segments owned by the current pool (closed +
         #: unlinked with it; recreated by the next _ensure_pool).
         self._segments: list = []
+        #: Superseded attempts still running on the current pool: each
+        #: holds a worker, so the chunk loop counts it against its window.
+        self._stragglers: "set[Future]" = set()
         # Jitter source for backoff sleeps; seeded so reruns pace identically.
         self._rng = random.Random(0x5EED)
 
@@ -544,95 +557,99 @@ class ProcessPoolBackend(ExecutionBackend):
         chunks: "list[list]",
         batch: int,
     ) -> "list[list]":
-        """Gather all chunks, retrying/re-dispatching under the policy."""
+        """Gather all chunks, retrying/re-dispatching under the policy.
+
+        With a per-chunk timeout at most ``workers`` attempts are on the
+        pool at once — superseded stragglers still running included — and
+        the other chunks wait in ``queue``: a deadline starts when a worker
+        is free to take the chunk, never while it waits behind a hung one.
+        Without a timeout every chunk goes to the pool at once.
+        """
         policy, metrics = self.policy, engine.metrics
         results: "dict[int, list]" = {}
-        state: "dict[int, _ChunkTask]" = {}
-        for i in range(len(chunks)):
-            try:
-                state[i] = self._submit(pool, fn, chunks, i, batch, 0)
-            except BrokenProcessPool as exc:
-                # A worker hard-crashed on an earlier batch; replace the
-                # pool (re-dispatching anything already submitted) first.
-                pool = self._rebuild_pool(engine, chunks, state, results, batch, exc)
-                state[i] = self._submit(pool, fn, chunks, i, batch, 0)
-        while len(results) < len(chunks):
-            try:
-                current = {
-                    task.future: i
-                    for i, task in state.items()
-                    if i not in results
-                }
-                done, _ = wait(
-                    set(current),
-                    timeout=self._wait_timeout(state, results),
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    i = current[future]
-                    task = state[i]
-                    if task.future is not future:
-                        continue  # superseded straggler; result discarded
-                    try:
-                        values = validate(future.result(), len(chunks[i]))
-                    except BrokenProcessPool:
-                        raise
-                    except CorruptResultError as exc:
-                        metrics.inc("engine.corrupt_results")
-                        pool = self._retry_chunk(engine, pool, chunks, state, i, batch, exc)
-                    except Exception as exc:  # worker-raised, incl. crashes
-                        metrics.inc("engine.worker_crashes")
-                        pool = self._retry_chunk(engine, pool, chunks, state, i, batch, exc)
-                    else:
-                        results[i] = values
-                if policy.timeout_seconds:
-                    now = time.monotonic()
-                    for i, task in list(state.items()):
-                        if i in results or task.future.done():
-                            continue
-                        if task.deadline is not None and now >= task.deadline:
-                            metrics.inc("engine.timeouts")
-                            metrics.inc("engine.straggler_redispatches")
-                            exc = BackendTimeoutError(
-                                f"chunk {i} of batch {batch} exceeded "
-                                f"{policy.timeout_seconds}s (attempt {task.attempt})"
-                            )
-                            pool = self._retry_chunk(
-                                engine, pool, chunks, state, i, batch, exc
-                            )
-            except BrokenProcessPool as exc:
-                pool = self._rebuild_pool(engine, chunks, state, results, batch, exc)
+        tasks = {i: _ChunkTask() for i in range(len(chunks))}
+        queue = deque(tasks)
+        window = self.workers if policy.timeout_seconds else float("inf")
+        try:
+            while len(results) < len(chunks):
+                try:
+                    self._stragglers = {f for f in self._stragglers if not f.done()}
+                    on_pool = {
+                        task.future: i
+                        for i, task in tasks.items()
+                        if task.future is not None
+                    }
+                    while queue and len(on_pool) + len(self._stragglers) < window:
+                        i = queue[0]
+                        key = f"{batch}-{i}"
+                        on_pool[self._submit(pool, fn, chunks[i], tasks[i], key)] = i
+                        queue.popleft()
+                    done, _ = wait(
+                        set(on_pool) | self._stragglers,
+                        timeout=self._wait_timeout(tasks),
+                        return_when=FIRST_COMPLETED,
+                    )
+                    for future in done:
+                        if future not in on_pool:
+                            continue  # a straggler finished; its worker is free
+                        i = on_pool[future]
+                        try:
+                            values = validate(future.result(), len(chunks[i]))
+                        except BrokenProcessPool:
+                            raise
+                        except CorruptResultError as exc:
+                            metrics.inc("engine.corrupt_results")
+                            self._retry_chunk(engine, tasks[i], queue, i, batch, exc)
+                        except Exception as exc:  # worker-raised, incl. crashes
+                            metrics.inc("engine.worker_crashes")
+                            self._retry_chunk(engine, tasks[i], queue, i, batch, exc)
+                        else:
+                            results[i] = values
+                            tasks[i].future = None
+                    if policy.timeout_seconds:
+                        now = time.monotonic()
+                        for i, task in tasks.items():
+                            if task.future is None or task.future.done():
+                                continue
+                            if now >= task.deadline:
+                                metrics.inc("engine.timeouts")
+                                metrics.inc("engine.straggler_redispatches")
+                                self._stragglers.add(task.future)
+                                exc = BackendTimeoutError(
+                                    f"chunk {i} of batch {batch} exceeded "
+                                    f"{policy.timeout_seconds}s "
+                                    f"(attempt {task.attempt})"
+                                )
+                                self._retry_chunk(engine, task, queue, i, batch, exc)
+                except BrokenProcessPool as exc:
+                    pool = self._rebuild_pool(engine, tasks, queue, batch, exc)
+        finally:
+            # Attempts an exhausted budget leaves behind still hold workers.
+            self._stragglers.update(
+                task.future for task in tasks.values() if task.future is not None
+            )
         return [results[i] for i in range(len(chunks))]
 
     def _submit(
-        self,
-        pool: ProcessPoolExecutor,
-        fn,
-        chunks: "list[list]",
-        i: int,
-        batch: int,
-        attempt: int,
-    ) -> _ChunkTask:
-        future = pool.submit(_run_chunk, fn, chunks[i], f"{batch}-{i}-{attempt}")
-        deadline = (
-            time.monotonic() + self.policy.timeout_seconds
-            if self.policy.timeout_seconds
-            else None
-        )
-        return _ChunkTask(fn, future, attempt, deadline)
+        self, pool: ProcessPoolExecutor, fn, chunk: list, task: _ChunkTask, key: str
+    ) -> Future:
+        """Put ``task``'s current attempt on the pool; its deadline starts now."""
+        task.future = pool.submit(_run_chunk, fn, chunk, f"{key}-{task.attempt}")
+        timeout = self.policy.timeout_seconds
+        task.deadline = time.monotonic() + timeout if timeout else None
+        return task.future
 
     def _retry_chunk(
         self,
         engine: "EvaluationEngine",
-        pool: ProcessPoolExecutor,
-        chunks: "list[list]",
-        state: "dict[int, _ChunkTask]",
+        task: _ChunkTask,
+        queue: "deque[int]",
         i: int,
         batch: int,
         exc: BaseException,
-    ) -> ProcessPoolExecutor:
-        """Re-dispatch one failed/straggling chunk, or give up typed."""
-        task = state[i]
+    ) -> None:
+        """Queue the next attempt of one failed/straggling chunk, or give up
+        typed."""
         if task.attempt >= self.policy.max_retries:
             raise BackendExhaustedError(task.attempt + 1, exc)
         engine.metrics.inc("engine.retries")
@@ -646,19 +663,19 @@ class ProcessPoolBackend(ExecutionBackend):
             delay = self.policy.delay(task.attempt, self._rng)
             if delay:
                 self.policy.sleep(delay)
-        state[i] = self._submit(pool, task.fn, chunks, i, batch, task.attempt + 1)
-        return pool
+        task.attempt += 1
+        task.future = None
+        queue.append(i)
 
     def _rebuild_pool(
         self,
         engine: "EvaluationEngine",
-        chunks: "list[list]",
-        state: "dict[int, _ChunkTask]",
-        results: "dict[int, list]",
+        tasks: "dict[int, _ChunkTask]",
+        queue: "deque[int]",
         batch: int,
         exc: BaseException,
     ) -> ProcessPoolExecutor:
-        """Replace a broken pool and re-dispatch every unfinished chunk.
+        """Replace a broken pool and queue every chunk that was on it again.
 
         Each resubmission consumes one retry from its chunk's budget, so a
         crash-looping pool still terminates in a
@@ -675,27 +692,24 @@ class ProcessPoolBackend(ExecutionBackend):
             if delay:
                 self.policy.sleep(delay)
             pool = self._ensure_pool(engine)
-        for i, task in list(state.items()):
-            if i in results:
-                continue
+        for i, task in tasks.items():
+            if task.future is None:
+                continue  # finished, or queued without reaching the pool
             if task.attempt >= self.policy.max_retries:
                 raise BackendExhaustedError(task.attempt + 1, exc)
             metrics.inc("engine.retries")
-            state[i] = self._submit(pool, task.fn, chunks, i, batch, task.attempt + 1)
+            task.attempt += 1
+            task.future = None
+            queue.append(i)
         return pool
 
-    def _wait_timeout(
-        self,
-        state: "dict[int, _ChunkTask]",
-        results: "dict[int, list]",
-    ) -> "float | None":
+    @staticmethod
+    def _wait_timeout(tasks: "dict[int, _ChunkTask]") -> "float | None":
         """How long ``wait`` may block: until the nearest chunk deadline."""
-        if not self.policy.timeout_seconds:
-            return None
         deadlines = [
             task.deadline
-            for i, task in state.items()
-            if i not in results and task.deadline is not None
+            for task in tasks.values()
+            if task.future is not None and task.deadline is not None
         ]
         if not deadlines:
             return None
@@ -706,6 +720,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
             self._engine_key = None
+        self._stragglers = set()
         # Unlink the shared segments only after the pool is gone: the
         # workers' attached views must never outlive the backing memory.
         # Robust to double-close and to rebuilds racing worker death.
@@ -754,7 +769,7 @@ class ShardedBackend(ProcessPoolBackend):
         shard_min_rows: int = 512,
         chunk_size: "int | None" = None,
         policy: "RetryPolicy | None" = None,
-        faults: "FaultConfig | None" = None,
+        faults: "EngineFaults | None" = None,
     ) -> None:
         super().__init__(workers, chunk_size=chunk_size, policy=policy, faults=faults)
         if shard_min_rows < 2:
@@ -847,7 +862,7 @@ def get_backend(
     backend: "str | ExecutionBackend | None",
     workers: "int | None" = None,
     policy: "RetryPolicy | None" = None,
-    faults: "FaultConfig | None" = None,
+    faults: "EngineFaults | None" = None,
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 

@@ -122,9 +122,9 @@ class EvaluationEngine:
         in-process degradation); ignored by the sequential backend and when
         ``backend`` is already an instance.
     fault_config:
-        Optional :class:`~repro.engine.faults.FaultConfig` injecting seeded
-        crashes/hangs/corruption into pool workers (chaos mode / tests);
-        an enabled config with the sequential backend raises
+        Optional :class:`~repro.chaos.EngineFaults` schedule injecting
+        seeded crashes/hangs/corruption into pool workers (chaos mode /
+        tests); an enabled schedule with the sequential backend raises
         :class:`~repro.exceptions.PartitioningError`.  Ignored when
         ``backend`` is already an instance.
     mode:

@@ -13,12 +13,12 @@ same two guarantees:
   handle so an append-only log's records survive power loss once the
   append call returns.
 
-Every write and fsync routes through :mod:`repro.io.faultfs` — a no-op
-pass-through unless a chaos fault plane is installed, in which case the
+Every write and fsync routes through :mod:`repro.chaos` — a no-op
+pass-through unless a disk fault plane is installed, in which case the
 operation may fail the way real disks fail (ENOSPC, EIO, torn writes,
 failed fsync, slow I/O).  Callers that are part of the service's durable
 stores pass a ``crash_scope`` so the replace boundary is a named
-:func:`~repro.io.faultfs.crash_point` the torture harness can kill at.
+:func:`~repro.chaos.crash_point` the torture harness can kill at.
 
 Directory creation is race-safe (``exist_ok=True``): two processes — or a
 daemon and a submitter — may create the same state directory concurrently
@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.io import faultfs
+from repro import chaos
 
 __all__ = [
     "ensure_directory",
@@ -51,7 +51,7 @@ def ensure_directory(path: "str | Path") -> Path:
 def fsync_handle(handle, label: str = "file") -> None:
     """Flush python buffers and fsync the OS file description."""
     handle.flush()
-    faultfs.fsync(handle.fileno(), label)
+    chaos.fsync(handle.fileno(), label)
 
 
 def fsync_directory(path: "str | Path") -> None:
@@ -87,7 +87,7 @@ def atomic_write_bytes(
     tmp = target.with_name(target.name + ".tmp")
     try:
         with tmp.open("wb") as handle:
-            faultfs.write(handle, data, label=target.name)
+            chaos.write(handle, data, label=target.name)
             fsync_handle(handle, label=target.name)
     except OSError:
         # A *failed* write (ENOSPC, EIO, failed fsync) must not leave a
@@ -100,10 +100,10 @@ def atomic_write_bytes(
             pass
         raise
     if crash_scope is not None:
-        faultfs.crash_point(f"{crash_scope}.before_replace")
+        chaos.crash_point(f"{crash_scope}.before_replace")
     os.replace(tmp, target)
     if crash_scope is not None:
-        faultfs.crash_point(f"{crash_scope}.after_replace")
+        chaos.crash_point(f"{crash_scope}.after_replace")
     fsync_directory(target.parent)
     return target
 

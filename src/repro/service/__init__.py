@@ -21,22 +21,15 @@ The three layers, bottom up:
   execution;
 * :mod:`repro.service.http` — the ``asyncio`` HTTP front end serving the
   ``/v1`` API (and the deprecated legacy aliases) without a thread per
-  connection;
-* :mod:`repro.service.chaos` — the seeded, deterministic fault-injection
-  layer (disk/net/worker chaos specs and crash points) threaded through
-  every seam above; ``serve --chaos`` arms it, ``docs/robustness.md``
-  maps the taxonomy.
+  connection.
+
+The seeded fault injection threaded through these seams (disk, net and
+worker faults, crash points) lives in :mod:`repro.chaos`; ``serve
+--chaos`` arms it and ``docs/robustness.md`` maps the taxonomy.
 
 See ``docs/service.md`` and ``docs/streaming.md`` for the operational story.
 """
 
-from repro.service.chaos import (
-    CRASH_POINTS,
-    ChaosConfig,
-    DiskFaultConfig,
-    NetChaosConfig,
-    WorkerChaosConfig,
-)
 from repro.service.jobs import (
     JOB_KINDS,
     JOB_SCHEMA,
@@ -68,13 +61,8 @@ from repro.service.snapshot import (
 __all__ = [
     "AuditJob",
     "AuditService",
-    "CRASH_POINTS",
-    "ChaosConfig",
-    "DiskFaultConfig",
     "HEALTH_STATES",
     "JobJournal",
-    "NetChaosConfig",
-    "WorkerChaosConfig",
     "JobRecord",
     "JobState",
     "JOB_KINDS",

@@ -275,7 +275,7 @@ class AsyncHTTPServer:
         #: that trickles bytes slower than this gets a 408 and the socket
         #: back — one slow-loris client cannot pin reactor buffers open.
         self._request_timeout = request_timeout
-        #: Optional :class:`repro.service.chaos.NetChaosConfig` — injected
+        #: Optional :class:`repro.chaos.NetFaults` schedule — injected
         #: response-side faults (reset/truncate/stall/close), deterministic
         #: per response index so a seeded run replays the same carnage.
         self._chaos = chaos if chaos is not None and chaos.enabled else None
@@ -416,31 +416,24 @@ class AsyncHTTPServer:
         partial-failure shape retrying clients must survive.
         """
         chaos = self._chaos
+        metrics = getattr(self._service, "metrics", None)
         self._responses += 1
         key = f"resp-{self._responses}"
-        if chaos.roll("stall", key):
-            self._metric("chaos.faults_injected")
-            self._metric("chaos.net_stall")
+        if chaos.fire("stall", key, metrics):
             await asyncio.sleep(chaos.stall_seconds)
-        if chaos.roll("close", key) and keep_alive:
-            self._metric("chaos.faults_injected")
-            self._metric("chaos.net_close")
+        if keep_alive and chaos.fire("close", key, metrics):
             keep_alive = False  # keep-alive churn: force a reconnect
         data = _render(status, payload, api_v1, keep_alive)
-        if chaos.roll("reset", key):
+        if chaos.fire("reset", key, metrics):
             # Connection reset mid-body: half the bytes, then RST.
-            self._metric("chaos.faults_injected")
-            self._metric("chaos.net_reset")
             writer.write(data[: max(1, len(data) // 2)])
             with contextlib.suppress(OSError):
                 await writer.drain()
             writer.transport.abort()
             return False, False
-        if chaos.roll("truncate", key):
+        if chaos.fire("truncate", key, metrics):
             # Truncated response: full headers (full Content-Length
             # declared), half the body, then a clean FIN.
-            self._metric("chaos.faults_injected")
-            self._metric("chaos.net_truncate")
             head_end = data.index(b"\r\n\r\n") + 4
             body_len = len(data) - head_end
             writer.write(data[: len(data) - max(1, body_len // 2)])

@@ -43,8 +43,8 @@ import threading
 from pathlib import Path
 from typing import Iterator
 
+from repro import chaos
 from repro.exceptions import JournalError, JournalWriteError, ServiceError
-from repro.io import faultfs
 from repro.io.atomic import (
     atomic_write_text,
     ensure_directory,
@@ -212,7 +212,7 @@ class JobJournal:
             if self._dirty:
                 self._repair_locked()
             try:
-                faultfs.write(self._handle, line, label="journal")
+                chaos.write(self._handle, line, label="journal")
             except OSError as exc:
                 self._dirty = True
                 raise JournalWriteError(
@@ -221,7 +221,7 @@ class JobJournal:
             self._clean_bytes += len(line.encode("utf-8"))
             self._write_seq += 1
             seq = self._write_seq
-        faultfs.crash_point("journal.append.after_write")
+        chaos.crash_point("journal.append.after_write")
         if sync:
             self.sync(seq)
         return seq
@@ -274,14 +274,14 @@ class JobJournal:
                             f"journal flush failed: {exc}", written=True
                         ) from exc
             if handle is not None:
-                faultfs.crash_point("journal.sync.before_fsync")
+                chaos.crash_point("journal.sync.before_fsync")
                 try:
-                    faultfs.fsync(handle.fileno(), label="journal")
+                    chaos.fsync(handle.fileno(), label="journal")
                 except OSError as exc:
                     raise JournalWriteError(
                         f"journal fsync failed: {exc}", written=True
                     ) from exc
-                faultfs.crash_point("journal.sync.after_fsync")
+                chaos.crash_point("journal.sync.after_fsync")
         except BaseException:
             with self._sync_cond:
                 self._syncing = False
@@ -346,11 +346,11 @@ class JobJournal:
             )
         self.recovered_tail_bytes = torn
         if torn:
-            faultfs.crash_point("journal.recover.before_truncate")
+            chaos.crash_point("journal.recover.before_truncate")
             with self.path.open("r+b") as handle:
                 handle.truncate(clean)
                 handle.flush()
-                faultfs.fsync(handle.fileno(), label="journal.recover")
+                chaos.fsync(handle.fileno(), label="journal.recover")
 
     def read_records(self) -> list[dict]:
         """All verified records (header included); raises on mid-file rot.

@@ -66,13 +66,13 @@ import threading
 import time
 from pathlib import Path
 
+from repro import chaos
 from repro.exceptions import (
     JobRejectedError,
     JournalWriteError,
     ServiceError,
     WorkerCrashError,
 )
-from repro.io import faultfs
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import (
     TERMINAL_STATES,
@@ -161,7 +161,7 @@ class ServiceConfig:
         (:class:`~repro.engine.backends.ShardedBackend`); results stay
         bit-identical to sequential.  ``None`` keeps in-process scoring.
     chaos:
-        A :class:`~repro.service.chaos.ChaosConfig` (``serve --chaos``):
+        A :class:`~repro.chaos.ChaosConfig` (``serve --chaos``):
         seeded fault injection over the disk plane, the HTTP responses
         and the worker loop.  The disk plane installs *after* journal
         recovery (chaos targets steady state, not startup) and uninstalls
@@ -331,7 +331,7 @@ class AuditService:
         # Terminal edges that could not be appended while the disk was
         # refusing writes; re-journaled by the probe after recovery.
         self._unjournaled: "set[str]" = set()
-        self._fault_plane: "faultfs.FaultPlane | None" = None
+        self._fault_plane: "chaos.FaultPlane | None" = None
         from repro.service.cache import CrossJobCache
 
         #: Content-addressed cross-job cache (in-memory only, so a crash
@@ -345,13 +345,13 @@ class AuditService:
         the worker threads and the HTTP listener."""
         self.journal.open()
         self._recover()
-        chaos = self.config.chaos
-        if chaos is not None and chaos.disk.enabled:
+        disk = None if self.config.chaos is None else self.config.chaos.disk
+        if disk is not None and disk.enabled:
             # Installed only after journal open/recovery: chaos drills the
             # steady state; a daemon that cannot even start its journal is
             # a provisioning failure, not a fault-tolerance scenario.
-            self._fault_plane = faultfs.FaultPlane(chaos.disk, metrics=self.metrics)
-            faultfs.install(self._fault_plane)
+            self._fault_plane = chaos.FaultPlane(disk, metrics=self.metrics)
+            chaos.install(self._fault_plane)
         self._probe_thread = threading.Thread(
             target=self._probe_loop, name="audit-disk-probe", daemon=True
         )
@@ -444,8 +444,8 @@ class AuditService:
         if self._fault_plane is not None:
             # Chaos ends where the drain begins: shutdown must always be
             # able to flush in-flight work and close the journal cleanly.
-            if faultfs.active() is self._fault_plane:
-                faultfs.uninstall()
+            if chaos.active() is self._fault_plane:
+                chaos.uninstall()
             self._fault_plane = None
         for thread in self._threads:
             thread.join()
@@ -1253,16 +1253,12 @@ class AuditService:
 
     def _maybe_worker_chaos(self, key: str) -> None:
         """Injected worker faults: stall (watchdog bait) or poison batch."""
-        chaos = self.config.chaos
-        if chaos is None or not chaos.worker.enabled:
+        worker = None if self.config.chaos is None else self.config.chaos.worker
+        if worker is None or not worker.enabled:
             return
-        if chaos.worker.roll("stall", key):
-            self.metrics.inc("chaos.faults_injected")
-            self.metrics.inc("chaos.worker_stall")
-            time.sleep(chaos.worker.stall_seconds)
-        if chaos.worker.roll("poison", key):
-            self.metrics.inc("chaos.faults_injected")
-            self.metrics.inc("chaos.worker_poison")
+        if worker.fire("stall", key, self.metrics):
+            time.sleep(worker.stall_seconds)
+        if worker.fire("poison", key, self.metrics):
             raise WorkerCrashError(f"injected poison batch at {key!r}")
 
     def _lease_current(self, record: JobRecord, lease: int) -> bool:
@@ -1715,11 +1711,11 @@ def _build_http_server(service: AuditService, host: str, port: int):
     """
     from repro.service.http import AsyncHTTPServer
 
-    chaos = service.config.chaos
+    spec = service.config.chaos
     return AsyncHTTPServer(
         service,
         host,
         port,
         request_timeout=service.config.request_timeout,
-        chaos=None if chaos is None else chaos.net,
+        chaos=None if spec is None else spec.net,
     )

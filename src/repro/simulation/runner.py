@@ -175,7 +175,7 @@ def run_scenario(
         mirror their counters into the shared ``metrics`` registry.
     retry_policy, fault_config:
         Fault tolerance / fault injection for the execution backend (see
-        :mod:`repro.engine.resilience` and :mod:`repro.engine.faults`).
+        :mod:`repro.engine.resilience` and :mod:`repro.chaos`).
     checkpoint:
         A :class:`~repro.simulation.checkpoint.CheckpointStore` (or a
         directory path) where every completed cell is persisted atomically.

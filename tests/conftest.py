@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.attributes import (
     CategoricalAttribute,
@@ -14,6 +15,13 @@ from repro.core.histogram import HistogramSpec
 from repro.core.population import Population
 from repro.core.schema import WorkerSchema
 from repro.simulation.generator import generate_paper_population, toy_population
+
+# Tier-1 is deterministic: every property test draws the same examples on
+# every run and no failure database carries examples between runs.  The
+# kernel-parity CI job explores with ``--hypothesis-profile=explore``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture()

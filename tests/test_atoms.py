@@ -44,7 +44,7 @@ from repro.core.splitting import split_partition
 from repro.engine.atoms import AtomTable
 from repro.engine.backends import ShardedBackend
 from repro.engine.engine import EvaluationEngine
-from repro.engine.faults import FaultConfig
+from repro.chaos import EngineFaults
 from repro.engine.kernels import cross_matrix
 from repro.engine.resilience import RetryPolicy
 from repro.metrics.base import HistogramDistance
@@ -354,9 +354,9 @@ def test_chaos_drills_bit_identical_no_leaks(paper_population_small) -> None:
     baseline = _run("balanced", paper_population_small, scores)
     before = _shm_segments()
     drills = [
-        FaultConfig(crash_rate=0.3, seed=11),
-        FaultConfig(crash_rate=0.3, seed=11, crash_hard=True),
-        FaultConfig(corrupt_rate=0.4, seed=5),
+        EngineFaults(crash_rate=0.3, seed=11),
+        EngineFaults(crash_rate=0.3, seed=11, crash_hard=True),
+        EngineFaults(corrupt_rate=0.4, seed=5),
     ]
     for fault_config in drills:
         result = _run(
@@ -398,7 +398,7 @@ def test_chaos_drills_bit_identical_no_leaks(paper_population_small) -> None:
 _LEAK_DRILL = """
 import numpy as np
 from repro.core.algorithms import get_algorithm
-from repro.engine.faults import FaultConfig
+from repro.chaos import EngineFaults
 from repro.engine.resilience import RetryPolicy
 from repro.simulation.generator import generate_paper_population
 
@@ -412,7 +412,7 @@ result = get_algorithm("balanced").run(
     backend="process",
     workers=2,
     retry_policy=RetryPolicy(max_retries=6, backoff_seconds=0.0),
-    fault_config=FaultConfig(crash_rate=0.3, seed=11, crash_hard=True),
+    fault_config=EngineFaults(crash_rate=0.3, seed=11, crash_hard=True),
 )
 print("UNFAIRNESS", repr(result.unfairness))
 """

@@ -11,15 +11,25 @@ and ``/v1/metrics``.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
+import zlib
 
 import pytest
 
+from repro.chaos import (
+    FAMILIES,
+    ChaosConfig,
+    DiskFaults,
+    EngineFaults,
+    NetFaults,
+    WorkerFaults,
+    seeded_roll,
+)
 from repro.exceptions import JobRejectedError, JournalWriteError
 from repro.service import AuditJob, AuditService, JobState, ServiceConfig
-from repro.service.chaos import ChaosConfig
 from repro.service.http import REJECTION_STATUS, dispatch
 
 
@@ -53,33 +63,136 @@ FAST_RESULT = {"scenario": "figure1-toy", "rows": [], "deadline_hit": False}
 
 # -------------------------------------------------------------- spec parsing
 
+#: The families ``serve --chaos`` admits; the engine verbs admit ``engine``.
+SERVE = ("disk", "net", "worker")
+
 
 class TestChaosSpec:
-    def test_parse_routes_prefixes_and_shares_seed(self):
-        config = ChaosConfig.parse(
-            "disk-fsync=0.1,disk-torn=0.2,net-reset=0.3,net-stall-seconds=0.7,"
-            "worker-stall=0.4,worker-stall-seconds=0.9,seed=42"
-        )
-        assert config.disk.fsync_rate == 0.1
-        assert config.disk.torn_rate == 0.2
-        assert config.net.reset_rate == 0.3
-        assert config.net.stall_seconds == 0.7
-        assert config.worker.stall_rate == 0.4
-        assert config.worker.stall_seconds == 0.9
-        assert config.disk.seed == config.net.seed == config.worker.seed == 42
-        assert config.enabled
+    @pytest.mark.parametrize(
+        "spec,families,expected",
+        [
+            # Accepted: each family's rates and other fields; the one seed
+            # lands in every family.
+            (
+                "engine-crash=0.3, engine-hang=0.1, engine-corrupt=0.05, seed=7, "
+                "engine-hang-seconds=0.5, engine-crash-hard=1",
+                ("engine",),
+                {
+                    "engine": EngineFaults(
+                        crash_rate=0.3,
+                        hang_rate=0.1,
+                        corrupt_rate=0.05,
+                        seed=7,
+                        hang_seconds=0.5,
+                        crash_hard=True,
+                    )
+                },
+            ),
+            (
+                "disk-enospc=0.1,disk-fsync=0.2,disk-torn=0.3,disk-slow-seconds=0.5,"
+                "seed=3",
+                SERVE,
+                {
+                    "disk": DiskFaults(
+                        enospc_rate=0.1,
+                        fsync_rate=0.2,
+                        torn_rate=0.3,
+                        slow_seconds=0.5,
+                        seed=3,
+                    )
+                },
+            ),
+            (
+                "net-reset=0.3,net-stall-seconds=0.7,seed=42",
+                SERVE,
+                {"net": NetFaults(reset_rate=0.3, stall_seconds=0.7, seed=42)},
+            ),
+            (
+                "worker-stall=0.4,worker_stall_seconds=0.9,seed=42",
+                SERVE,
+                {"worker": WorkerFaults(stall_rate=0.4, stall_seconds=0.9, seed=42)},
+            ),
+            # Rejected, with an error naming the offending entry.
+            ("crash=0.3,seed=1", ("engine",), "'crash=0.3': unknown key"),
+            ("enospc=0.05", SERVE, "'enospc=0.05': unknown key"),
+            ("engine-crash=1.0", SERVE, "'engine-crash=1.0': engine-* keys are not"),
+            ("disk-fsync=0.1", ("engine",), "'disk-fsync=0.1': disk-* keys are not"),
+            ("gremlins=1.0", SERVE, "'gremlins=1.0': unknown key"),
+            ("disk-sparks=0.5,seed=1", SERVE, "'disk-sparks=0.5': unknown key"),
+            ("engine-seed=3", ("engine",), "'engine-seed=3': unknown key"),
+            ("disk-fsync", SERVE, "'disk-fsync': not key=value"),
+            ("seed=abc", SERVE, "'seed=abc': invalid literal"),
+            ("net-reset=abc", SERVE, "'net-reset=abc': could not convert"),
+            ("engine-crash-hard=yes", ("engine",), "'engine-crash-hard=yes'"),
+        ],
+        ids=[
+            "engine", "disk", "net", "worker",
+            "bare-engine-key", "bare-disk-key", "engine-on-serve", "disk-on-engine",
+            "unknown-family", "unknown-kind", "per-family-seed", "no-equals",
+            "bad-seed", "bad-rate", "bad-flag",
+        ],
+    )
+    def test_parse(self, spec, families, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                ChaosConfig.parse(spec, families)
+            return
+        config = ChaosConfig.parse(spec, families)
+        assert config.spec == spec
+        for family in FAMILIES:
+            schedule = getattr(config, family)
+            assert schedule == expected.get(family, type(schedule)(seed=config.seed))
 
-    def test_parse_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown chaos spec key"):
-            ChaosConfig.parse("disk-sparks=0.5")
-        with pytest.raises(ValueError, match="unknown chaos spec key"):
-            ChaosConfig.parse("gremlins=1.0")
-        with pytest.raises(ValueError, match="key=value"):
-            ChaosConfig.parse("disk-fsync")
+    @pytest.mark.parametrize(
+        "schedule,prefix",
+        [
+            (EngineFaults(crash_rate=0.4, hang_rate=0.4, corrupt_rate=0.4, seed=9), ""),
+            (
+                DiskFaults(
+                    enospc_rate=0.4,
+                    eio_rate=0.4,
+                    fsync_rate=0.4,
+                    torn_rate=0.4,
+                    slow_rate=0.4,
+                    seed=9,
+                ),
+                "",
+            ),
+            (
+                NetFaults(
+                    reset_rate=0.4,
+                    truncate_rate=0.4,
+                    stall_rate=0.4,
+                    close_rate=0.4,
+                    seed=9,
+                ),
+                "net-",
+            ),
+            (WorkerFaults(stall_rate=0.4, poison_rate=0.4, seed=9), "worker-"),
+        ],
+        ids=FAMILIES,
+    )
+    def test_roll_uses_the_historical_token(self, schedule, prefix):
+        # {seed}:{kind}:{key} for engine and disk, {seed}:net-{kind}:{key}
+        # and {seed}:worker-{kind}:{key} for the service seams: seeded
+        # drills keep replaying the same faults.
+        for kind in schedule.kinds():
+            for key in (f"k-{i}" for i in range(100)):
+                token = f"9:{prefix}{kind}:{key}".encode()
+                expected = seeded_roll(9, prefix + kind, key, 0.4)
+                assert expected == (zlib.crc32(token) / 0x1_0000_0000 < 0.4)
+                assert schedule.roll(kind, key) == expected
 
     def test_parse_rejects_out_of_range_rates(self):
-        with pytest.raises(ValueError):
-            ChaosConfig.parse("net-reset=1.5")
+        for entry in (
+            "engine-crash=1.5",
+            "engine-hang-seconds=0",
+            "disk-slow-seconds=-1",
+            "net-reset=1.5",
+            "worker-poison=-0.1",
+        ):
+            with pytest.raises(ValueError, match=re.escape(repr(entry))):
+                ChaosConfig.parse(entry)
 
     def test_empty_spec_is_disabled(self):
         config = ChaosConfig.parse("")
@@ -89,8 +202,13 @@ class TestChaosSpec:
     def test_describe_is_json_shaped(self):
         config = ChaosConfig.parse("disk-eio=0.05,seed=9")
         payload = config.describe()
-        assert payload["seed"] == 9
-        assert payload["disk"]["eio"] == 0.05
+        assert payload == {
+            "spec": "disk-eio=0.05,seed=9",
+            "seed": 9,
+            "disk": {"enospc": 0.0, "eio": 0.05, "fsync": 0.0, "torn": 0.0, "slow": 0.0},
+            "net": {"reset": 0.0, "truncate": 0.0, "stall": 0.0, "close": 0.0},
+            "worker": {"stall": 0.0, "poison": 0.0},
+        }
         json.dumps(payload)  # must be serialisable as-is
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,7 @@ class TestParser:
 
 
 class TestEngineFlagSurface:
-    """The unified --engine-backend/--engine-workers surface + aliases."""
+    """The unified --engine-backend/--engine-workers/--chaos surface."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -47,28 +46,6 @@ class TestEngineFlagSurface:
         assert args.trace_out is None
         assert args.log_level is None
 
-    def test_deprecated_backend_alias_warns_and_stores(self) -> None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            args = build_parser().parse_args(
-                ["audit", "w.csv", "--backend", "process", "--workers", "3"]
-            )
-        assert args.engine_backend == "process"
-        assert args.engine_workers == 3
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-        messages = sorted(str(w.message) for w in deprecations)
-        assert "use --engine-backend" in messages[0]
-        assert "use --engine-workers" in messages[1]
-
-    def test_deprecation_warns_once_per_location(self) -> None:
-        """Under the default filter, repeat parses warn only the first time."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                build_parser().parse_args(["compare", "w.csv", "--backend", "sequential"])
-        assert len([w for w in caught if w.category is DeprecationWarning]) == 1
-
     def test_experiment_workers_still_means_population_size(self) -> None:
         args = build_parser().parse_args(["experiment", "table1", "--workers", "100"])
         assert args.workers == 100
@@ -81,38 +58,55 @@ class TestEngineFlagSurface:
         main(["generate", "--workers", "30", "--seed", "5", "--out", str(csv_path)])
         capsys.readouterr()
         argv = ["audit", str(csv_path), "--function", "f6"]
-        assert main([*argv, "--inject-faults", "crash=0.3,seed=1"]) == 2
+        assert main([*argv, "--chaos", "engine-crash=0.3,seed=1"]) == 2
         assert "worker pool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,entry",
+        [
+            (["serve", "--workdir", "state", "--chaos", "engine-crash=1.0"],
+             "engine-crash=1.0"),
+            (["audit", "w.csv", "--chaos", "disk-fsync=0.1"], "disk-fsync=0.1"),
+            (["serve", "--workdir", "state", "--chaos", "disk-sparks=0.1,seed=1"],
+             "disk-sparks=0.1"),
+            (["serve", "--workdir", "state", "--chaos", "seed=abc"], "seed=abc"),
+            (["audit", "w.csv", "--chaos", "engine-crash=abc"], "engine-crash=abc"),
+        ],
+        ids=["engine-on-serve", "disk-on-audit", "unknown-key", "bad-seed", "bad-rate"],
+    )
+    def test_bad_chaos_spec_exits_2_naming_the_entry(
+        self, argv: list[str], entry: str, capsys
+    ) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert repr(entry) in capsys.readouterr().err
 
     def test_numba_kernel_is_not_accepted(self) -> None:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["audit", "w.csv", "--engine-kernel", "numba"])
 
-    def test_workload_has_no_deprecated_aliases(self) -> None:
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["workload", "w.csv", "t.json", "--backend", "process"])
-
-    def test_old_and_new_spellings_behave_identically(
-        self, tmp_path: Path, capsys
-    ) -> None:
-        csv_path = tmp_path / "workers.csv"
-        main(["generate", "--workers", "60", "--seed", "5", "--out", str(csv_path)])
-        capsys.readouterr()
-        assert main(
-            ["audit", str(csv_path), "--function", "f6", "--engine-backend", "sequential"]
-        ) == 0
-        new_out = capsys.readouterr().out
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(
-                ["audit", str(csv_path), "--function", "f6", "--backend", "sequential"]
-            ) == 0
-        old_out = capsys.readouterr().out
-
-        def stable(text: str) -> list[str]:
-            return [line for line in text.splitlines() if "runtime" not in line]
-
-        assert stable(old_out) == stable(new_out)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "w.csv", "--backend", "process"],
+            ["audit", "w.csv", "--workers", "3"],
+            ["compare", "w.csv", "--backend", "sequential"],
+            ["compare", "w.csv", "--workers", "3"],
+            ["experiment", "table1", "--backend", "process"],
+            ["workload", "w.csv", "t.json", "--backend", "process"],
+            ["audit", "w.csv", "--inject-faults", "crash=0.3,seed=1"],
+        ],
+        ids=[
+            "audit-backend", "audit-workers", "compare-backend", "compare-workers",
+            "experiment-backend", "workload-backend", "audit-inject-faults",
+        ],
+    )
+    def test_removed_engine_spellings_exit_2(self, argv: list[str], capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeFlagSurface:
@@ -150,7 +144,7 @@ class TestServeFlagSurface:
         assert args.engine_kernel == "scalar"
         assert args.engine_retries == 4
         assert args.engine_no_fallback
-        assert not hasattr(args, "inject_faults")
+        assert args.chaos is None
 
 
 class TestTraceOut:

@@ -1,11 +1,11 @@
 """Crash-point torture harness: kill a subprocess at every durability boundary.
 
 Every fsync/replace boundary in the durable stores carries a named
-:func:`~repro.io.faultfs.crash_point`; arming ``REPRO_CRASH_POINT`` makes
+:func:`~repro.chaos.crash_point`; arming ``REPRO_CRASH_POINT`` makes
 a subprocess ``os._exit(86)`` the instant it crosses that boundary — a
 power cut at exactly the worst moment.  For each of the canonical
-:data:`~repro.service.chaos.CRASH_POINTS` this harness kills a driver
-subprocess and asserts the three invariants:
+:data:`~repro.chaos.CRASH_POINTS` this harness kills a subprocess
+running one of the scripts below and asserts the three invariants:
 
 1. **no acknowledged job is ever lost** — every ``ACK``'d submit replays
    from the survivor journal;
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.chaos import CRASH_EXIT_CODE, CRASH_POINTS
+from repro.chaos import CRASH_EXIT_CODE, CRASH_POINTS
 from repro.service.journal import JobJournal
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,4 +1,4 @@
-"""Tests for the injectable filesystem fault plane (repro.io.faultfs)."""
+"""Tests for the injectable disk fault plane and crash points (repro.chaos)."""
 
 from __future__ import annotations
 
@@ -8,21 +8,16 @@ import os
 
 import pytest
 
-from repro.io import faultfs
+from repro import chaos
+from repro.chaos import CrashPointRegistry, DiskFaults, FaultPlane, seeded_roll
 from repro.io.atomic import atomic_write_bytes, atomic_write_text
-from repro.io.faultfs import (
-    CrashPointRegistry,
-    DiskFaultConfig,
-    FaultPlane,
-    seeded_roll,
-)
 from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_plane():
     yield
-    faultfs.uninstall()
+    chaos.uninstall()
 
 
 # ----------------------------------------------------------------- schedule
@@ -57,30 +52,14 @@ def test_rate_one_always_fires():
 
 def test_disk_config_validates_rates():
     with pytest.raises(ValueError):
-        DiskFaultConfig(eio_rate=1.5)
+        DiskFaults(eio_rate=1.5)
     with pytest.raises(ValueError):
-        DiskFaultConfig(slow_seconds=-1)
-
-
-def test_disk_config_parse_round_trip():
-    config = DiskFaultConfig.parse("enospc=0.1,fsync=0.2,slow-seconds=0.5,seed=3")
-    assert config.enospc_rate == 0.1
-    assert config.fsync_rate == 0.2
-    assert config.slow_seconds == 0.5
-    assert config.seed == 3
-    assert config.enabled
-
-
-def test_disk_config_parse_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown disk fault"):
-        DiskFaultConfig.parse("sparks=0.5")
-    with pytest.raises(ValueError, match="key=value"):
-        DiskFaultConfig.parse("enospc")
+        DiskFaults(slow_seconds=-1)
 
 
 def test_disabled_when_all_rates_zero():
-    assert not DiskFaultConfig().enabled
-    assert DiskFaultConfig(torn_rate=0.01).enabled
+    assert not DiskFaults().enabled
+    assert DiskFaults(torn_rate=0.01).enabled
 
 
 # -------------------------------------------------------------------- plane
@@ -89,13 +68,13 @@ def test_disabled_when_all_rates_zero():
 def test_passthrough_without_plane(tmp_path):
     path = tmp_path / "plain.txt"
     with open(path, "w") as handle:
-        faultfs.write(handle, "hello", label="plain")
-        faultfs.fsync(handle.fileno(), label="plain")
+        chaos.write(handle, "hello", label="plain")
+        chaos.fsync(handle.fileno(), label="plain")
     assert path.read_text() == "hello"
 
 
 def test_enospc_injection_writes_nothing():
-    plane = FaultPlane(DiskFaultConfig(enospc_rate=1.0, seed=1))
+    plane = FaultPlane(DiskFaults(enospc_rate=1.0, seed=1))
     buffer = io.StringIO()
     with pytest.raises(OSError) as excinfo:
         plane.write(buffer, "payload", label="test")
@@ -104,7 +83,7 @@ def test_enospc_injection_writes_nothing():
 
 
 def test_torn_injection_writes_a_strict_prefix():
-    plane = FaultPlane(DiskFaultConfig(torn_rate=1.0, seed=1))
+    plane = FaultPlane(DiskFaults(torn_rate=1.0, seed=1))
     buffer = io.StringIO()
     with pytest.raises(OSError) as excinfo:
         plane.write(buffer, "0123456789", label="test")
@@ -115,7 +94,7 @@ def test_torn_injection_writes_a_strict_prefix():
 
 
 def test_fsync_injection_raises_eio(tmp_path):
-    plane = FaultPlane(DiskFaultConfig(fsync_rate=1.0, seed=1))
+    plane = FaultPlane(DiskFaults(fsync_rate=1.0, seed=1))
     with open(tmp_path / "f", "w") as handle:
         with pytest.raises(OSError) as excinfo:
             plane.fsync(handle.fileno(), label="test")
@@ -125,7 +104,7 @@ def test_fsync_injection_raises_eio(tmp_path):
 def test_faults_are_transient_per_operation_counter():
     # A fresh key per operation means a partial rate eventually passes —
     # the degraded-mode probe loop relies on exactly this.
-    plane = FaultPlane(DiskFaultConfig(eio_rate=0.5, seed=11))
+    plane = FaultPlane(DiskFaults(eio_rate=0.5, seed=11))
     outcomes = []
     for _ in range(50):
         buffer = io.StringIO()
@@ -140,7 +119,7 @@ def test_faults_are_transient_per_operation_counter():
 
 def test_plane_counts_fired_faults_into_metrics():
     metrics = MetricsRegistry()
-    plane = FaultPlane(DiskFaultConfig(eio_rate=1.0, seed=1), metrics=metrics)
+    plane = FaultPlane(DiskFaults(eio_rate=1.0, seed=1), metrics=metrics)
     with pytest.raises(OSError):
         plane.write(io.StringIO(), "x", label="test")
     snapshot = metrics.as_dict()["counters"]
@@ -149,22 +128,22 @@ def test_plane_counts_fired_faults_into_metrics():
 
 
 def test_install_uninstall_routing(tmp_path):
-    plane = FaultPlane(DiskFaultConfig(eio_rate=1.0, seed=1))
-    faultfs.install(plane)
-    assert faultfs.active() is plane
+    plane = FaultPlane(DiskFaults(eio_rate=1.0, seed=1))
+    chaos.install(plane)
+    assert chaos.active() is plane
     with open(tmp_path / "f", "w") as handle:
         with pytest.raises(OSError):
-            faultfs.write(handle, "x", label="test")
-    faultfs.uninstall()
-    assert faultfs.active() is None
+            chaos.write(handle, "x", label="test")
+    chaos.uninstall()
+    assert chaos.active() is None
     with open(tmp_path / "f", "w") as handle:
-        faultfs.write(handle, "x", label="test")
+        chaos.write(handle, "x", label="test")
 
 
 def test_atomic_write_survives_transient_faults(tmp_path):
     # atomic_write_* goes through the plane: with a partial fault rate the
     # target is either absent or complete, never torn.
-    faultfs.install(FaultPlane(DiskFaultConfig(torn_rate=0.4, eio_rate=0.2, seed=5)))
+    chaos.install(FaultPlane(DiskFaults(torn_rate=0.4, eio_rate=0.2, seed=5)))
     path = tmp_path / "out.json"
     wrote = 0
     for attempt in range(30):
@@ -180,10 +159,10 @@ def test_atomic_write_survives_transient_faults(tmp_path):
 
 
 def test_atomic_write_bytes_under_enospc(tmp_path):
-    faultfs.install(FaultPlane(DiskFaultConfig(enospc_rate=1.0, seed=5)))
+    chaos.install(FaultPlane(DiskFaults(enospc_rate=1.0, seed=5)))
     with pytest.raises(OSError):
         atomic_write_bytes(tmp_path / "never.bin", b"data")
-    faultfs.uninstall()
+    chaos.uninstall()
     assert not (tmp_path / "never.bin").exists()
 
 
@@ -201,8 +180,8 @@ def test_crash_registry_counts_without_arming():
 def test_crash_registry_arms_from_environment():
     registry = CrashPointRegistry(
         environ={
-            faultfs.ENV_CRASH_POINT: "snapshot.before_replace",
-            faultfs.ENV_CRASH_POINT_SKIP: "2",
+            chaos.ENV_CRASH_POINT: "snapshot.before_replace",
+            chaos.ENV_CRASH_POINT_SKIP: "2",
         }
     )
     assert registry.armed == "snapshot.before_replace"
@@ -215,12 +194,12 @@ def test_crash_registry_arms_from_environment():
 
 
 def test_crash_registry_ignores_other_points():
-    registry = CrashPointRegistry(environ={faultfs.ENV_CRASH_POINT: "a.b"})
+    registry = CrashPointRegistry(environ={chaos.ENV_CRASH_POINT: "a.b"})
     registry.hit("c.d")  # would _exit if name matched
     assert registry.seen == {"c.d": 1}
 
 
 def test_crash_point_exit_code_is_distinctive():
-    assert faultfs.CRASH_EXIT_CODE == 86
-    assert faultfs.CRASH_EXIT_CODE not in (0, 1, 2)
-    assert os.WEXITSTATUS(faultfs.CRASH_EXIT_CODE << 8) == 86
+    assert chaos.CRASH_EXIT_CODE == 86
+    assert chaos.CRASH_EXIT_CODE not in (0, 1, 2)
+    assert os.WEXITSTATUS(chaos.CRASH_EXIT_CODE << 8) == 86

@@ -12,9 +12,12 @@ a worker process can really fail: in the workers of the ``process`` and
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.chaos import EngineFaults, corrupt_values, seeded_roll
 from repro.core.algorithms import get_algorithm
 from repro.engine.backends import (
     ProcessPoolBackend,
@@ -22,7 +25,6 @@ from repro.engine.backends import (
     ShardedBackend,
     get_backend,
 )
-from repro.engine.faults import FaultConfig
 from repro.engine.resilience import RetryPolicy, validate_batch
 from repro.exceptions import (
     BackendExhaustedError,
@@ -30,7 +32,6 @@ from repro.exceptions import (
     PartitioningError,
     WorkerCrashError,
 )
-from repro.io.faultfs import seeded_roll
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.simulation.config import PaperConfig
@@ -44,65 +45,45 @@ def _counters(metrics: MetricsRegistry) -> dict:
     return metrics.as_dict()["counters"]
 
 
-# --------------------------------------------------------------- FaultConfig
+# ----------------------------------------------------- engine fault schedule
 
 
 class TestFaultConfig:
     def test_roll_is_deterministic_and_seed_sensitive(self):
-        config = FaultConfig(crash_rate=0.5, seed=3)
+        config = EngineFaults(crash_rate=0.5, seed=3)
         keys = [f"0-{i}-0" for i in range(200)]
         first = [config.roll("crash", k) for k in keys]
         assert first == [config.roll("crash", k) for k in keys]
-        other = FaultConfig(crash_rate=0.5, seed=4)
+        other = EngineFaults(crash_rate=0.5, seed=4)
         assert first != [other.roll("crash", k) for k in keys]
         # rate is respected in aggregate (crc32 is uniform enough for this)
         assert 0.3 < np.mean(first) < 0.7
 
     def test_roll_is_the_shared_seeded_roll(self):
-        config = FaultConfig(crash_rate=0.4, corrupt_rate=0.2, seed=9)
+        config = EngineFaults(crash_rate=0.4, corrupt_rate=0.2, seed=9)
         for key in (f"0-{i}-0" for i in range(100)):
             assert config.roll("crash", key) == seeded_roll(9, "crash", key, 0.4)
             assert config.roll("corrupt", key) == seeded_roll(9, "corrupt", key, 0.2)
 
     def test_zero_rate_never_fires(self):
-        config = FaultConfig(crash_rate=0.0, seed=1)
+        config = EngineFaults(crash_rate=0.0, seed=1)
         assert not any(config.roll("crash", str(i)) for i in range(100))
 
     def test_rates_validated(self):
-        with pytest.raises(PartitioningError):
-            FaultConfig(crash_rate=1.5)
-        with pytest.raises(PartitioningError):
-            FaultConfig(hang_rate=-0.1)
-        with pytest.raises(PartitioningError):
-            FaultConfig(hang_seconds=0.0)
+        with pytest.raises(ValueError):
+            EngineFaults(crash_rate=1.5)
+        with pytest.raises(ValueError):
+            EngineFaults(hang_rate=-0.1)
+        with pytest.raises(ValueError):
+            EngineFaults(hang_seconds=0.0)
 
     def test_corruption_is_always_detectable(self):
-        config = FaultConfig(corrupt_rate=1.0, seed=9)
+        config = EngineFaults(corrupt_rate=1.0, seed=9)
         clean = [0.1, 0.2, 0.3, 0.4]
         for key in (f"k{i}" for i in range(50)):
-            damaged = config.corrupt_values(clean, key)
+            damaged = corrupt_values(clean, config.seed, key)
             with pytest.raises(CorruptResultError):
                 validate_batch(damaged, len(clean))
-
-    def test_parse_round_trip(self):
-        config = FaultConfig.parse(
-            "crash=0.3, hang=0.1, corrupt=0.05, seed=7, hang-seconds=0.5, hard=1"
-        )
-        assert config == FaultConfig(
-            crash_rate=0.3,
-            hang_rate=0.1,
-            corrupt_rate=0.05,
-            seed=7,
-            hang_seconds=0.5,
-            crash_hard=True,
-        )
-
-    @pytest.mark.parametrize(
-        "spec", ["crash", "bogus=1", "crash=2.0", "seed=x", "crash=0.1,,hang"]
-    )
-    def test_parse_rejects_malformed(self, spec):
-        with pytest.raises(ValueError):
-            FaultConfig.parse(spec)
 
 
 # ------------------------------------------------ the pool backends' retry loop
@@ -145,7 +126,7 @@ class TestRetryingBackend:
     ):
         scores = np.random.default_rng(0).uniform(size=paper_population_small.size)
         clean = _audit_unfairness(paper_population_small, scores, None)
-        faults = FaultConfig(crash_rate=rate, corrupt_rate=rate / 2, seed=17)
+        faults = EngineFaults(crash_rate=rate, corrupt_rate=rate / 2, seed=17)
         policy = RetryPolicy(max_retries=10, backoff_seconds=0.0)
         for name in POOL_BACKENDS:
             result = _run_on(name, paper_population_small, scores, policy, faults)
@@ -153,7 +134,7 @@ class TestRetryingBackend:
 
     def test_counters_and_retry_spans(self, small_population):
         scores = np.linspace(0.0, 0.99, small_population.size)
-        faults = FaultConfig(crash_rate=0.5, seed=0)
+        faults = EngineFaults(crash_rate=0.5, seed=0)
         policy = RetryPolicy(max_retries=10, backoff_seconds=0.0)
         for name in POOL_BACKENDS:
             metrics = MetricsRegistry()
@@ -169,7 +150,7 @@ class TestRetryingBackend:
 
     def test_exhaustion_raises_typed_error_not_hang(self, small_population):
         scores = np.linspace(0.0, 0.99, small_population.size)
-        faults = FaultConfig(crash_rate=1.0, seed=1)
+        faults = EngineFaults(crash_rate=1.0, seed=1)
         policy = RetryPolicy(
             max_retries=2, backoff_seconds=0.0, fallback_sequential=False
         )
@@ -184,7 +165,7 @@ class TestRetryingBackend:
     ):
         scores = np.linspace(0.0, 0.99, small_population.size)
         clean = _audit_unfairness(small_population, scores, None)
-        faults = FaultConfig(crash_rate=1.0, seed=1)
+        faults = EngineFaults(crash_rate=1.0, seed=1)
         policy = RetryPolicy(max_retries=1, backoff_seconds=0.0)
         for name in POOL_BACKENDS:
             metrics = MetricsRegistry()
@@ -197,7 +178,7 @@ class TestRetryingBackend:
     def test_timeout_reaps_hung_dispatch(self, small_population):
         scores = np.linspace(0.0, 0.99, small_population.size)
         clean = _audit_unfairness(small_population, scores, None)
-        faults = FaultConfig(hang_rate=0.3, seed=5, hang_seconds=0.2)
+        faults = EngineFaults(hang_rate=0.3, seed=5, hang_seconds=0.2)
         policy = RetryPolicy(
             max_retries=10, timeout_seconds=0.1, backoff_seconds=0.0
         )
@@ -209,6 +190,38 @@ class TestRetryingBackend:
             assert result.unfairness == clean, name
             assert _counters(metrics)["engine.timeouts"] >= 1, name
 
+    def test_deadlines_count_only_time_on_a_worker(
+        self, small_population, monkeypatch
+    ):
+        # Every hung attempt times out exactly once: no chunk times out while
+        # it waits behind a hung worker, so the budget never runs out.
+        scores = np.linspace(0.0, 0.99, small_population.size)
+        clean = _audit_unfairness(small_population, scores, None)
+        faults = EngineFaults(hang_rate=0.3, seed=5, hang_seconds=0.2)
+        policy = RetryPolicy(
+            max_retries=10, timeout_seconds=0.1, backoff_seconds=0.0
+        )
+        keys: "list[str]" = []
+        submit = ProcessPoolExecutor.submit
+
+        def recording_submit(pool, fn, *args, **kwargs):
+            keys.append(args[-1])  # the attempt key _run_chunk rolls on
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        for name in POOL_BACKENDS:
+            keys.clear()
+            metrics = MetricsRegistry()
+            result = _run_on(
+                name, small_population, scores, policy, faults, metrics=metrics
+            )
+            hung = sum(faults.roll("hang", key) for key in keys)
+            counters = _counters(metrics)
+            assert result.unfairness == clean, name
+            assert hung >= 1, name
+            assert counters.get("engine.timeouts", 0) == hung, name
+            assert counters.get("engine.backend_fallbacks", 0) == 0, name
+
     def test_sequential_backend_has_no_retry_layer(self):
         backend = get_backend("sequential", policy=FAST)
         assert type(backend) is SequentialBackend
@@ -216,13 +229,13 @@ class TestRetryingBackend:
     def test_fault_injection_needs_a_worker_pool(self, small_population):
         scores = np.linspace(0.0, 0.99, small_population.size)
         with pytest.raises(PartitioningError, match="worker pool"):
-            get_backend("sequential", faults=FaultConfig(crash_rate=0.1))
+            get_backend("sequential", faults=EngineFaults(crash_rate=0.1))
         with pytest.raises(PartitioningError, match="worker pool"):
             get_algorithm("balanced").run(
-                small_population, scores, fault_config=FaultConfig(crash_rate=0.1)
+                small_population, scores, fault_config=EngineFaults(crash_rate=0.1)
             )
         # A schedule that can never fire is not injection.
-        assert type(get_backend(None, faults=FaultConfig())) is SequentialBackend
+        assert type(get_backend(None, faults=EngineFaults())) is SequentialBackend
 
     def test_policy_validation(self):
         with pytest.raises(PartitioningError):
@@ -269,7 +282,7 @@ class TestProcessPoolFaults:
         policy = RetryPolicy(
             max_retries=8, timeout_seconds=5.0, backoff_seconds=0.0
         )
-        faults = FaultConfig(
+        faults = EngineFaults(
             crash_rate=0.3, hang_rate=0.1, corrupt_rate=0.1, seed=11,
             hang_seconds=0.2,
         )
@@ -297,7 +310,7 @@ class TestProcessPoolFaults:
         policy = RetryPolicy(
             max_retries=6, timeout_seconds=0.6, backoff_seconds=0.0
         )
-        faults = FaultConfig(hang_rate=0.15, seed=5, hang_seconds=3.0)
+        faults = EngineFaults(hang_rate=0.15, seed=5, hang_seconds=3.0)
         hungover = run_scenario(
             scenario,
             algorithms=("balanced",),
@@ -320,7 +333,7 @@ class TestProcessPoolFaults:
         clean = run_scenario(scenario, algorithms=("balanced",), seed=3)
         metrics = MetricsRegistry()
         policy = RetryPolicy(max_retries=4, backoff_seconds=0.0)
-        faults = FaultConfig(crash_rate=0.05, seed=13, crash_hard=True)
+        faults = EngineFaults(crash_rate=0.05, seed=13, crash_hard=True)
         battered = run_scenario(
             scenario,
             algorithms=("balanced",),
@@ -343,7 +356,7 @@ class TestProcessPoolFaults:
         policy = RetryPolicy(
             max_retries=1, backoff_seconds=0.0, fallback_sequential=False
         )
-        faults = FaultConfig(crash_rate=1.0, seed=1)
+        faults = EngineFaults(crash_rate=1.0, seed=1)
         backend = ProcessPoolBackend(workers=2, policy=policy, faults=faults)
         try:
             with pytest.raises(BackendExhaustedError):
@@ -358,7 +371,7 @@ class TestProcessPoolFaults:
             ProcessPoolBackend(
                 workers=2,
                 policy=RetryPolicy(),
-                faults=FaultConfig(hang_rate=0.1),
+                faults=EngineFaults(hang_rate=0.1),
             )
 
     def test_degraded_backend_serves_locally(self, paper_population_small):
@@ -393,14 +406,14 @@ class TestFaultCli:
                 "--engine-retry-backoff",
                 "0.01",
                 "--engine-no-fallback",
-                "--inject-faults",
-                "crash=0.3,hang=0.1,seed=7",
+                "--chaos",
+                "engine-crash=0.3,engine-hang=0.1,seed=7",
             ]
         )
         assert args.engine_retries == 5
         assert args.engine_timeout == 2.5
         assert args.engine_no_fallback
-        assert args.inject_faults == FaultConfig(
+        assert args.chaos.engine == EngineFaults(
             crash_rate=0.3, hang_rate=0.1, seed=7
         )
 
@@ -408,15 +421,14 @@ class TestFaultCli:
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["audit", "pop.csv", "--inject-faults", "bogus=1"]
-            )
+            build_parser().parse_args(["audit", "pop.csv", "--chaos", "bogus=1"])
+        assert "'bogus=1'" in capsys.readouterr().err
 
     def test_resilience_defaults_timeout_for_hangs(self):
         from repro.cli import _resilience, build_parser
 
         args = build_parser().parse_args(
-            ["audit", "pop.csv", "--inject-faults", "hang=0.2,seed=1"]
+            ["audit", "pop.csv", "--chaos", "engine-hang=0.2,seed=1"]
         )
         policy, faults = _resilience(args)
         assert policy is not None and policy.timeout_seconds == 5.0

@@ -334,44 +334,44 @@ class TestJournalWriteErrors:
     buffer repairs itself before the next append."""
 
     def _plane(self, **rates):
-        from repro.io.faultfs import DiskFaultConfig, FaultPlane
+        from repro.chaos import DiskFaults, FaultPlane
 
-        return FaultPlane(DiskFaultConfig(seed=1, **rates))
+        return FaultPlane(DiskFaults(seed=1, **rates))
 
     @pytest.fixture(autouse=True)
     def _clean_plane(self):
-        from repro.io import faultfs
+        from repro import chaos
 
         yield
-        faultfs.uninstall()
+        chaos.uninstall()
 
     def test_append_eio_raises_unwritten_and_repairs(self, tmp_path):
-        from repro.io import faultfs
+        from repro import chaos
         from repro.exceptions import JournalWriteError
 
         path = tmp_path / "journal.jsonl"
         journal = JobJournal(path).open()
-        faultfs.install(self._plane(eio_rate=1.0))
+        chaos.install(self._plane(eio_rate=1.0))
         with pytest.raises(JournalWriteError) as excinfo:
             journal.append_submit(_job(0), timestamp=0.0)
         assert excinfo.value.written is False
-        faultfs.uninstall()
+        chaos.uninstall()
         journal.append_submit(_job(1), timestamp=1.0)
         journal.close()
         assert set(JobJournal(path).replay()) == {"job-1"}
 
     def test_torn_append_truncated_not_replayed(self, tmp_path):
-        from repro.io import faultfs
+        from repro import chaos
         from repro.exceptions import JournalWriteError
 
         path = tmp_path / "journal.jsonl"
         journal = JobJournal(path).open()
         journal.append_submit(_job(0), timestamp=0.0)
-        faultfs.install(self._plane(torn_rate=1.0))
+        chaos.install(self._plane(torn_rate=1.0))
         with pytest.raises(JournalWriteError) as excinfo:
             journal.append_submit(_job(1), timestamp=1.0)
         assert excinfo.value.written is False
-        faultfs.uninstall()
+        chaos.uninstall()
         # The dirty-buffer repair cuts the injected fragment exactly; the
         # next append lands on a clean tail.
         journal.append_submit(_job(2), timestamp=2.0)
@@ -379,17 +379,17 @@ class TestJournalWriteErrors:
         assert set(JobJournal(path).replay()) == {"job-0", "job-2"}
 
     def test_fsync_failure_marks_written_true(self, tmp_path):
-        from repro.io import faultfs
+        from repro import chaos
         from repro.exceptions import JournalWriteError
 
         path = tmp_path / "journal.jsonl"
         journal = JobJournal(path).open()
         journal.append_submit(_job(0), timestamp=0.0, sync=False)
-        faultfs.install(self._plane(fsync_rate=1.0))
+        chaos.install(self._plane(fsync_rate=1.0))
         with pytest.raises(JournalWriteError) as excinfo:
             journal.sync()
         assert excinfo.value.written is True
-        faultfs.uninstall()
+        chaos.uninstall()
         # Durability deferred, not lost: a later sync persists the record
         # exactly once (re-appending would have duplicated it).
         journal.sync()
@@ -397,16 +397,16 @@ class TestJournalWriteErrors:
         assert set(JobJournal(path).replay()) == {"job-0"}
 
     def test_compaction_failure_keeps_old_file_and_append_handle(self, tmp_path):
-        from repro.io import faultfs
+        from repro import chaos
         from repro.exceptions import JournalWriteError
 
         path = tmp_path / "journal.jsonl"
         journal = JobJournal(path).open()
         journal.append_submit(_job(0), timestamp=0.0)
-        faultfs.install(self._plane(enospc_rate=1.0))
+        chaos.install(self._plane(enospc_rate=1.0))
         with pytest.raises(JournalWriteError):
             journal.compact_to()
-        faultfs.uninstall()
+        chaos.uninstall()
         journal.append_submit(_job(1), timestamp=1.0)
         journal.close()
         assert set(JobJournal(path).replay()) == {"job-0", "job-1"}

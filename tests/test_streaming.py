@@ -15,7 +15,7 @@ from repro.core.partition import Partition, Partitioning
 from repro.core.population import Population
 from repro.engine.atoms import AtomTable, decode_keys, encode_codes, protected_cards
 from repro.engine.engine import EvaluationEngine
-from repro.engine.faults import FaultConfig
+from repro.chaos import EngineFaults
 from repro.engine.resilience import RetryPolicy
 from repro.engine.streaming import (
     MutableAtomState,
@@ -222,7 +222,7 @@ class TestStreamingBitIdentity:
         store = small_store(seed=5)
         mutate(store, seed=41, count=80)
         policy = RetryPolicy(max_retries=4, backoff_seconds=0.0)
-        faults = FaultConfig(crash_rate=0.05, seed=7)
+        faults = EngineFaults(crash_rate=0.05, seed=7)
         auditor = StreamingAuditor(
             store,
             algorithm="balanced",

@@ -12,12 +12,13 @@ a worker process can really fail: in the workers of the ``process`` and
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.chaos import EngineFaults, corrupt_values, seeded_roll
+from repro.chaos import ChaosConfig, EngineFaults, corrupt_values, seeded_roll
 from repro.core.algorithms import get_algorithm
 from repro.engine.backends import (
     ProcessPoolBackend,
@@ -84,6 +85,16 @@ class TestFaultConfig:
             damaged = corrupt_values(clean, config.seed, key)
             with pytest.raises(CorruptResultError):
                 validate_batch(damaged, len(clean))
+
+    @pytest.mark.parametrize(
+        "spec", ["crash", "bogus=1", "crash=2.0", "seed=x", "crash=0.1,,hang"]
+    )
+    def test_parse_rejects_malformed(self, spec):
+        # The old bare-key engine specs are refused by the engine's --chaos
+        # grammar, and the error names the first bad entry.
+        first = spec.split(",")[0]
+        with pytest.raises(ValueError, match=re.escape(f"chaos spec entry {first!r}")):
+            ChaosConfig.parse(spec, ("engine",))
 
 
 # ------------------------------------------------ the pool backends' retry loop

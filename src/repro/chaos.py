@@ -7,7 +7,7 @@ fault schedule on every run.  Four families, each a frozen
 :class:`FaultSchedule` of rates and durations, fire where the system can
 really fail:
 
-* **engine** — pool workers of the ``process`` and ``sharded`` backends
+* **engine** — pool workers of the ``process`` backend
   (``_run_chunk`` in :mod:`repro.engine.backends`) crash, hang or return
   detectably corrupt values, per chunk attempt;
 * **disk** — the :class:`FaultPlane` installed over every durable write

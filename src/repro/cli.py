@@ -40,7 +40,7 @@ unifies the engine flags.
 The four engine-using subcommands (``audit``, ``compare``, ``workload``,
 ``experiment``) share one flag surface:
 
-* ``--engine-backend {sequential,process,sharded}`` / ``--engine-workers N``
+* ``--engine-backend {sequential,process}`` / ``--engine-workers N``
   select the evaluation engine's execution backend (``--workers`` keeps
   meaning *workers in the marketplace*, i.e. population size, on
   ``generate`` and ``experiment``);
@@ -55,10 +55,10 @@ The four engine-using subcommands (``audit``, ``compare``, ``workload``,
   testing in the pool workers (see ``docs/robustness.md``).  Fault
   injection needs a pool backend: with ``sequential`` the command exits 2.
 
-``serve`` takes only the engine flags the daemon reads: ``--engine-kernel``,
-``--log-level`` and the retry flags, which need ``--shard-workers`` (the
-only work the daemon fans out to worker processes).  Its ``--chaos`` takes
-the same grammar with ``disk-*``, ``net-*`` and ``worker-*`` keys.
+``serve`` takes only the engine flags the daemon reads, ``--engine-kernel``
+and ``--log-level``: the daemon scores in-process, so it has no worker pool
+to retry.  Its ``--chaos`` takes the same grammar with ``disk-*``,
+``net-*`` and ``worker-*`` keys.
 
 ``experiment`` additionally supports ``--checkpoint-dir DIR`` (persist
 every completed cell atomically) and ``--resume DIR`` (skip cells already
@@ -118,9 +118,35 @@ def _nonnegative_int(value: str) -> int:
 
 def _positive_float(value: str) -> float:
     parsed = float(value)
-    if parsed <= 0:
+    if not parsed > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {parsed}")
     return parsed
+
+
+def _nonnegative_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
+    return parsed
+
+
+def _tenant_weight(value: str) -> "tuple[str, float]":
+    """argparse type of ``serve --tenant-weight``: ``TENANT=WEIGHT`` with a
+    weight above 0."""
+    tenant, sep, weight = value.partition("=")
+    if not sep or not tenant:
+        raise argparse.ArgumentTypeError(f"expects TENANT=WEIGHT, got {value!r}")
+    try:
+        parsed = float(weight)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"weight must be a number, got {weight!r}"
+        ) from None
+    if not parsed > 0:
+        raise argparse.ArgumentTypeError(
+            f"weight for {tenant!r} must be > 0, got {weight}"
+        )
+    return tenant, parsed
 
 
 def _chaos_spec(*families: str):
@@ -144,8 +170,8 @@ def _add_engine_arguments(
     subcommands: ``--engine-backend`` / ``--engine-workers`` /
     ``--engine-kernel`` / the retry flags / ``--chaos`` (``engine-*`` keys)
     / ``--trace-out`` / ``--log-level``.  ``daemon=True`` (``serve``) adds
-    only the flags the daemon reads: ``--engine-kernel``, the retry flags
-    and ``--log-level``."""
+    only the flags the daemon reads: ``--engine-kernel`` and
+    ``--log-level``."""
     group = parser.add_argument_group("evaluation engine")
     if not daemon:
         group.add_argument(
@@ -170,46 +196,46 @@ def _add_engine_arguments(
         help="distance-kernel backend: numpy (default, fused vectorised) or "
         "scalar (per-pair reference).  Both produce bit-identical results",
     )
-    group.add_argument(
-        "--engine-retries",
-        dest="engine_retries",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="retry a failed worker-pool chunk up to N times (default: 3 once "
-        "any resilience flag is set)",
-    )
-    group.add_argument(
-        "--engine-timeout",
-        dest="engine_timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="per-chunk deadline; timed-out chunks are re-dispatched",
-    )
-    group.add_argument(
-        "--engine-retry-backoff",
-        dest="engine_retry_backoff",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="base delay between retries (doubles each attempt, with jitter)",
-    )
-    group.add_argument(
-        "--engine-no-fallback",
-        dest="engine_no_fallback",
-        action="store_true",
-        help="raise BackendExhaustedError instead of computing in-process "
-        "when retries run out",
-    )
     if not daemon:
+        group.add_argument(
+            "--engine-retries",
+            dest="engine_retries",
+            type=_nonnegative_int,
+            default=None,
+            metavar="N",
+            help="retry a failed worker-pool chunk up to N times (default: 3 "
+            "once any resilience flag is set)",
+        )
+        group.add_argument(
+            "--engine-timeout",
+            dest="engine_timeout",
+            type=_positive_float,
+            default=None,
+            metavar="SECONDS",
+            help="per-chunk deadline; timed-out chunks are re-dispatched",
+        )
+        group.add_argument(
+            "--engine-retry-backoff",
+            dest="engine_retry_backoff",
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help="base delay between retries (doubles each attempt, with jitter)",
+        )
+        group.add_argument(
+            "--engine-no-fallback",
+            dest="engine_no_fallback",
+            action="store_true",
+            help="raise BackendExhaustedError instead of computing in-process "
+            "when retries run out",
+        )
         group.add_argument(
             "--chaos",
             type=_chaos_spec("engine"),
             default=None,
             metavar="SPEC",
             help="deterministic chaos mode in the pool workers of "
-            "--engine-backend process or sharded, e.g. 'engine-crash=0.3,"
+            "--engine-backend process, e.g. 'engine-crash=0.3,"
             "engine-hang=0.1,engine-corrupt=0.05,seed=1' (see docs/robustness.md)",
         )
         group.add_argument(
@@ -324,30 +350,28 @@ def _resilience(args: argparse.Namespace) -> "tuple[object, object]":
     """
     from repro.engine.resilience import RetryPolicy
 
-    chaos = getattr(args, "chaos", None)
+    chaos = args.chaos
     faults = chaos.engine if chaos is not None and chaos.engine.enabled else None
-    timeout = getattr(args, "engine_timeout", None)
+    timeout = args.engine_timeout
     if timeout is None and faults is not None and faults.hang_rate > 0:
         timeout = 5.0
-    wants_policy = any(
-        getattr(args, name, None) is not None
-        for name in ("engine_retries", "engine_retry_backoff")
-    ) or timeout is not None or getattr(args, "engine_no_fallback", False)
+    wants_policy = (
+        args.engine_retries is not None
+        or args.engine_retry_backoff is not None
+        or timeout is not None
+        or args.engine_no_fallback
+    )
     if not wants_policy and faults is None:
         return None, None
     policy = RetryPolicy(
-        max_retries=(
-            args.engine_retries
-            if getattr(args, "engine_retries", None) is not None
-            else 3
-        ),
+        max_retries=args.engine_retries if args.engine_retries is not None else 3,
         timeout_seconds=timeout,
         backoff_seconds=(
             args.engine_retry_backoff
-            if getattr(args, "engine_retry_backoff", None) is not None
+            if args.engine_retry_backoff is not None
             else 0.05
         ),
-        fallback_sequential=not getattr(args, "engine_no_fallback", False),
+        fallback_sequential=not args.engine_no_fallback,
     )
     return policy, faults
 
@@ -591,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-max-bytes",
         dest="cache_max_bytes",
-        type=int,
+        type=_nonnegative_int,
         default=256 * 1024 * 1024,
         metavar="N",
         help="byte budget of the content-addressed cross-job cache "
@@ -601,6 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--tenant-weight",
         dest="tenant_weights",
+        type=_tenant_weight,
         action="append",
         default=None,
         metavar="TENANT=WEIGHT",
@@ -634,15 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         "id/priority/tenant) into one engine dispatch; 1 disables batching",
     )
     serve.add_argument(
-        "--shard-workers",
-        dest="shard_workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="fan each job's engine work out across N worker processes "
-        "by atom-range (bit-identical to sequential; default: in-process)",
-    )
-    serve.add_argument(
         "--chaos",
         type=_chaos_spec("disk", "net", "worker"),
         default=None,
@@ -654,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--request-timeout",
         dest="request_timeout",
-        type=float,
+        type=_nonnegative_float,
         default=30.0,
         metavar="SECONDS",
         help="total HTTP header+body read deadline per request; slow-loris "
@@ -1184,36 +1200,8 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     from repro.service import AuditService, ServiceConfig
 
-    if getattr(args, "log_level", None):
+    if args.log_level:
         setup_logging(args.log_level)
-    retry_policy, _ = _resilience(args)
-    if retry_policy is not None and args.shard_workers is None:
-        print(
-            "the retry flags (--engine-retries/--engine-timeout/"
-            "--engine-retry-backoff/--engine-no-fallback) need --shard-workers: "
-            "the daemon only retries work it fans out to worker processes",
-            file=sys.stderr,
-        )
-        return 2
-    tenant_weights = None
-    if args.tenant_weights:
-        tenant_weights = {}
-        for spec in args.tenant_weights:
-            name, sep, weight = spec.partition("=")
-            if not sep or not name:
-                print(
-                    f"--tenant-weight expects TENANT=WEIGHT, got {spec!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                tenant_weights[name] = float(weight)
-            except ValueError:
-                print(
-                    f"--tenant-weight weight must be a number, got {weight!r}",
-                    file=sys.stderr,
-                )
-                return 2
     if args.snapshot_out is None:
         snapshot_dir = ""  # ServiceConfig default: WORKDIR/snapshots
     elif args.snapshot_out.lower() == "none":
@@ -1233,18 +1221,16 @@ def _command_serve(args: argparse.Namespace) -> int:
             journal_max_bytes=args.journal_max_bytes,
             cache_max_bytes=args.cache_max_bytes,
             engine_kernel=args.engine_kernel,
-            tenant_weights=tenant_weights,
+            tenant_weights=dict(args.tenant_weights or ()),
             rate_limit=args.rate_limit,
             rate_limit_burst=args.rate_limit_burst,
             batch_max=args.batch_max,
-            shard_workers=args.shard_workers,
             chaos=chaos,
             request_timeout=(
                 args.request_timeout if args.request_timeout > 0 else None
             ),
             watchdog_seconds=args.watchdog_seconds,
         ),
-        retry_policy=retry_policy,
     )
     # The handlers only set an event; the drain happens on this thread, so
     # in-flight jobs always finish before the process exits.

@@ -15,7 +15,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SequentialBackend,
-    ShardedBackend,
     available_backends,
     get_backend,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "ProcessPoolBackend",
-    "ShardedBackend",
     "available_backends",
     "get_backend",
     "RetryPolicy",

@@ -12,11 +12,8 @@ expansions).  :class:`EvaluationEngine` routes those batches through an
   arrays; every worker computes objectives through the *same*
   :func:`~repro.engine.kernels.full_objective` code path as the sequential
   engine, which keeps results bit-identical across backends.
-* :class:`ShardedBackend` — splits each large candidate's histograms across
-  the same pool by atom-range and merges the partial counts in order.
 
-The process pool's chunk loop is the one retry loop in the engine, and
-:class:`ShardedBackend` sends its shard-sum chunks through it too: each
+The process pool's chunk loop is the one retry loop in the engine: each
 chunk is dispatched with an optional deadline and retried under the
 backend's :class:`~repro.engine.resilience.RetryPolicy` — stragglers are
 re-dispatched on timeout, crashed chunks are retried with exponential
@@ -33,7 +30,7 @@ test harness).  The sequential backend has no worker process that could
 fail, so it takes neither.
 
 Backends are selected from the CLI via ``--engine-backend
-{sequential,process,sharded}`` and ``--engine-workers N`` and are recorded in
+{sequential,process}`` and ``--engine-workers N`` and are recorded in
 :class:`AlgorithmResult` so the benchmark harness can attribute runtimes.
 With tracing enabled on the engine, each process-pool batch records
 ``backend.process.dispatch`` / ``backend.process.collect`` spans and the
@@ -58,6 +55,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.chaos import corrupt_values
+from repro.engine.resilience import RetryPolicy, validate_batch
 from repro.exceptions import (
     BackendExhaustedError,
     BackendTimeoutError,
@@ -70,13 +68,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos import EngineFaults
     from repro.core.partition import Partition
     from repro.engine.engine import EvaluationEngine
-    from repro.engine.resilience import RetryPolicy
 
 __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "ProcessPoolBackend",
-    "ShardedBackend",
     "available_backends",
     "get_backend",
 ]
@@ -207,10 +203,7 @@ def _score_wire_tasks(
     bit-identical values.  An ``("a", rows)`` entry is an int64 row-sum
     over the atom count matrix; an ``("m", members)`` entry is the legacy
     ``bincount`` over member indices — both divide the same integer counts
-    by the same integer size, so the pmfs match bit for bit.  An
-    ``("h", counts, size)`` entry is a pre-merged int64 histogram (the
-    sharded backend's shard-sum output): the identical counts divided by
-    the identical size, so it too lands on the same pmf bytes.
+    by the same integer size, so the pmfs match bit for bit.
     """
     from repro.engine.kernels import DEFAULT_KERNEL, full_objective
 
@@ -223,12 +216,8 @@ def _score_wire_tasks(
             continue
         pmfs = np.empty((len(entries), spec.bins), dtype=np.float64)
         sizes: list[int] = []
-        for i, entry in enumerate(entries):
-            kind, payload = entry[0], entry[1]
-            if kind == "h":
-                counts = payload
-                size = int(entry[2])
-            elif kind == "a":
+        for i, (kind, payload) in enumerate(entries):
+            if kind == "a":
                 counts = atom_counts[payload].sum(axis=0)
                 size = int(counts.sum())
             else:
@@ -260,31 +249,10 @@ def _score_chunk(state: dict, chunk: "list[list[tuple]]") -> list[float]:
     )
 
 
-def _sum_wire_ranges(state: dict, ranges: "list[tuple]") -> "list[np.ndarray]":
-    """Partial int64 histograms of one chunk of shard ranges, in order.
-
-    Each range is an ``("a", rows_slice)`` / ``("m", member_slice)`` entry
-    exactly as in :func:`_score_wire_tasks`; the returned count vectors are
-    the same integer sums that routine would compute for the slice, so
-    merging contiguous slices back in shard order reproduces the unsharded
-    histogram bit for bit (int64 addition is exact).  ``state`` is as in
-    :func:`_score_chunk`, so a shard summed in a worker or in the parent
-    carries identical integers.
-    """
-    spec, bin_idx, atom_counts = state["spec"], state["bin_idx"], state["atom_counts"]
-    out: "list[np.ndarray]" = []
-    for kind, payload in ranges:
-        if kind == "a":
-            out.append(atom_counts[payload].sum(axis=0))
-        else:
-            out.append(spec.histogram_from_bin_indices(bin_idx[payload]))
-    return out
-
-
 def _run_chunk(
-    fn, chunk: list, task_key: str
-) -> list:  # pragma: no cover - runs in workers
-    """One attempt of ``fn`` over ``chunk`` under the worker's fault schedule.
+    chunk: "list[list[tuple]]", task_key: str
+) -> list[float]:  # pragma: no cover - runs in workers
+    """One attempt at scoring ``chunk`` under the worker's fault schedule.
 
     The task key seeds the fault decisions: retries roll fresh dice, so
     injected faults are transient by construction.  The order is fixed:
@@ -300,24 +268,10 @@ def _run_chunk(
             if faults.crash_hard:
                 os._exit(3)
             raise WorkerCrashError(f"injected crash at {task_key!r}")
-    values = fn(_WORKER_STATE, chunk)
+    values = _score_chunk(_WORKER_STATE, chunk)
     if faults is not None and faults.fire("corrupt", task_key):
         values = corrupt_values(values, faults.seed, task_key)
     return values
-
-
-def _validate_counts(values: "list | None", expected: int) -> list:
-    """:func:`~repro.engine.resilience.validate_batch` for shard sums: the
-    chunk must return ``expected`` integer count vectors."""
-    if values is None or len(values) != expected:
-        raise CorruptResultError(
-            f"backend returned {0 if values is None else len(values)} partial "
-            f"histograms for {expected} shards"
-        )
-    for counts in values:
-        if not (isinstance(counts, np.ndarray) and counts.dtype.kind == "i"):
-            raise CorruptResultError(f"backend returned damaged counts {counts!r}")
-    return list(values)
 
 
 class _ChunkTask:
@@ -361,8 +315,6 @@ class ProcessPoolBackend(ExecutionBackend):
         policy: "RetryPolicy | None" = None,
         faults: "EngineFaults | None" = None,
     ) -> None:
-        from repro.engine.resilience import RetryPolicy
-
         resolved = int(workers) if workers else (os.cpu_count() or 1)
         if resolved < 1:
             raise PartitioningError(f"workers must be >= 1, got {resolved}")
@@ -500,36 +452,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)
             ]
             dispatch_span.set(n_chunks=len(chunks), chunk_size=chunk_size)
-        from repro.engine.resilience import validate_batch
-
-        per_chunk = self._map_chunks(
-            engine, pool, _score_chunk, validate_batch, chunks, batch
-        )
-        return [value for chunk_values in per_chunk for value in chunk_values]
-
-    def _map_chunks(
-        self,
-        engine: "EvaluationEngine",
-        pool: ProcessPoolExecutor,
-        fn,
-        validate,
-        chunks: "list[list]",
-        batch: int,
-    ) -> "list[list]":
-        """``fn(state, chunk)`` over every chunk on the pool, under the
-        retry policy.
-
-        ``validate(values, len(chunk))`` vets each returned chunk.  When the
-        budget runs out with fallback enabled, every chunk is recomputed
-        in-process against the engine's :meth:`worker_payload` — the same
-        arithmetic, so the same values.
-        """
-        metrics = engine.metrics
         try:
             with engine.tracer.span(
                 "backend.process.collect", n_chunks=len(chunks)
             ), metrics.time("backend.collect_seconds"):
-                return self._collect(engine, pool, fn, validate, chunks, batch)
+                per_chunk = self._collect(engine, pool, chunks, batch)
         except BackendExhaustedError as exc:
             if not self.policy.fallback_sequential:
                 raise
@@ -542,21 +469,20 @@ class ProcessPoolBackend(ExecutionBackend):
             with engine.tracer.span(
                 "backend.fallback",
                 reason=type(exc.last_error).__name__,
-                n_candidates=sum(len(chunk) for chunk in chunks),
+                n_candidates=len(tasks),
                 degraded=self._degraded,
             ):
-                payload = engine.worker_payload()
-                return [fn(payload, chunk) for chunk in chunks]
+                # Same arithmetic in-process, so the same values.
+                return _score_chunk(engine.worker_payload(), tasks)
+        return [value for chunk_values in per_chunk for value in chunk_values]
 
     def _collect(
         self,
         engine: "EvaluationEngine",
         pool: ProcessPoolExecutor,
-        fn,
-        validate,
-        chunks: "list[list]",
+        chunks: "list[list[list[tuple]]]",
         batch: int,
-    ) -> "list[list]":
+    ) -> "list[list[float]]":
         """Gather all chunks, retrying/re-dispatching under the policy.
 
         With a per-chunk timeout at most ``workers`` attempts are on the
@@ -566,7 +492,7 @@ class ProcessPoolBackend(ExecutionBackend):
         Without a timeout every chunk goes to the pool at once.
         """
         policy, metrics = self.policy, engine.metrics
-        results: "dict[int, list]" = {}
+        results: "dict[int, list[float]]" = {}
         tasks = {i: _ChunkTask() for i in range(len(chunks))}
         queue = deque(tasks)
         window = self.workers if policy.timeout_seconds else float("inf")
@@ -582,7 +508,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     while queue and len(on_pool) + len(self._stragglers) < window:
                         i = queue[0]
                         key = f"{batch}-{i}"
-                        on_pool[self._submit(pool, fn, chunks[i], tasks[i], key)] = i
+                        on_pool[self._submit(pool, chunks[i], tasks[i], key)] = i
                         queue.popleft()
                     done, _ = wait(
                         set(on_pool) | self._stragglers,
@@ -594,7 +520,7 @@ class ProcessPoolBackend(ExecutionBackend):
                             continue  # a straggler finished; its worker is free
                         i = on_pool[future]
                         try:
-                            values = validate(future.result(), len(chunks[i]))
+                            values = validate_batch(future.result(), len(chunks[i]))
                         except BrokenProcessPool:
                             raise
                         except CorruptResultError as exc:
@@ -631,10 +557,10 @@ class ProcessPoolBackend(ExecutionBackend):
         return [results[i] for i in range(len(chunks))]
 
     def _submit(
-        self, pool: ProcessPoolExecutor, fn, chunk: list, task: _ChunkTask, key: str
+        self, pool: ProcessPoolExecutor, chunk: list, task: _ChunkTask, key: str
     ) -> Future:
         """Put ``task``'s current attempt on the pool; its deadline starts now."""
-        task.future = pool.submit(_run_chunk, fn, chunk, f"{key}-{task.attempt}")
+        task.future = pool.submit(_run_chunk, chunk, f"{key}-{task.attempt}")
         timeout = self.policy.timeout_seconds
         task.deadline = time.monotonic() + timeout if timeout else None
         return task.future
@@ -733,129 +659,9 @@ class ProcessPoolBackend(ExecutionBackend):
         self._segments = []
 
 
-class ShardedBackend(ProcessPoolBackend):
-    """Split each *candidate's histograms* across worker processes by
-    atom-range and merge deterministically.
-
-    Where :class:`ProcessPoolBackend` parallelises across candidates (one
-    chunk of whole tasks per worker), this backend parallelises *inside*
-    large candidates: every ``("a", rows)`` / ``("m", members)`` wire entry
-    with at least ``shard_min_rows`` rows is cut into up to ``workers``
-    contiguous range shards, the pool computes each shard's partial int64
-    histogram against the shared-memory count cube, and the parent merges
-    the partials back **in shard order** before scoring the merged
-    ``("h", counts, size)`` entries through the exact
-    :func:`_score_wire_tasks` arithmetic.
-
-    Bit-identity argument (pinned by ``tests/parity/test_sharded_parity.py``):
-    the unsharded histogram is ``atom_counts[rows].sum(axis=0)`` — an exact
-    int64 sum, so partial sums over contiguous slices re-added in slice
-    order produce the *same integers*; the pmf is those integers divided by
-    the same integer size, hence the same float64 bytes; and
-    ``full_objective`` then sees inputs identical to the sequential path.
-    Shard sums travel through the pool's chunk loop like any other chunk,
-    and an exhausted budget degrades them to the identical local
-    computation, so results never depend on where shards ran.
-
-    Entries below ``shard_min_rows`` are summed locally — shipping a dozen
-    atom ids to another process costs more than the row-sum itself.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        workers: "int | None" = None,
-        shard_min_rows: int = 512,
-        chunk_size: "int | None" = None,
-        policy: "RetryPolicy | None" = None,
-        faults: "EngineFaults | None" = None,
-    ) -> None:
-        super().__init__(workers, chunk_size=chunk_size, policy=policy, faults=faults)
-        if shard_min_rows < 2:
-            raise PartitioningError(
-                f"shard_min_rows must be >= 2, got {shard_min_rows}"
-            )
-        self.shard_min_rows = shard_min_rows
-
-    def _score_wire_batch(
-        self, engine: "EvaluationEngine", tasks: "list[list[tuple]]"
-    ) -> list[float]:
-        metrics = engine.metrics
-        batch = self._batch_counter
-        self._batch_counter += 1
-        merged = self._merge_sharded(engine, tasks, batch)
-        values = _score_chunk(engine.worker_payload(), merged)
-        metrics.inc("backend.batches")
-        metrics.inc("backend.candidates", len(tasks))
-        engine.record_external_evaluations(tasks)
-        return values
-
-    def _merge_sharded(
-        self, engine: "EvaluationEngine", tasks: "list[list[tuple]]", batch: int
-    ) -> "list[list[tuple]]":
-        """Tasks with every large entry replaced by its merged histogram."""
-        out = [list(task) for task in tasks]
-        plan: "list[tuple[int, int, int, int, int]]" = []
-        shards: "list[tuple]" = []
-        for ti, task in enumerate(out):
-            for ei, entry in enumerate(task):
-                kind, payload = entry[0], entry[1]
-                if kind not in ("a", "m"):
-                    continue
-                n_rows = int(payload.shape[0])
-                if n_rows < self.shard_min_rows:
-                    continue
-                n_shards = min(self.workers, n_rows // (self.shard_min_rows // 2))
-                if n_shards < 2:
-                    continue
-                start = len(shards)
-                shards.extend(
-                    (kind, piece) for piece in np.array_split(payload, n_shards)
-                )
-                plan.append((ti, ei, start, n_shards, n_rows))
-        if not plan or self._degraded:
-            return out
-        partials = self._partials(engine, shards, batch)
-        engine.metrics.inc("engine.shards_dispatched", len(shards))
-        for ti, ei, start, n_shards, n_rows in plan:
-            counts = partials[start].copy()
-            for j in range(1, n_shards):  # merge in shard order: exact int64
-                counts += partials[start + j]
-            size = (
-                int(counts.sum()) if out[ti][ei][0] == "a" else n_rows
-            )
-            out[ti][ei] = ("h", counts, size)
-        return out
-
-    def _partials(
-        self, engine: "EvaluationEngine", shards: "list[tuple]", batch: int
-    ) -> "list[np.ndarray]":
-        """Every shard's partial histogram, summed through the pool's chunk
-        loop (deadlines, injected faults, retries, pool rebuilds).
-
-        An exhausted budget with fallback enabled sums the shards in the
-        parent with the identical arithmetic, so a broken pool changes
-        *where* integers are added, never which integers.
-        """
-        chunk_size = max(1, len(shards) // (2 * self.workers) or 1)
-        chunks = [
-            shards[i : i + chunk_size] for i in range(0, len(shards), chunk_size)
-        ]
-        per_chunk = self._map_chunks(
-            engine,
-            self._ensure_pool(engine),
-            _sum_wire_ranges,
-            _validate_counts,
-            chunks,
-            batch,
-        )
-        return [counts for chunk_counts in per_chunk for counts in chunk_counts]
-
-
 def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`get_backend` (and the CLI ``--engine-backend``)."""
-    return ("sequential", "process", "sharded")
+    return ("sequential", "process")
 
 
 def get_backend(
@@ -866,7 +672,7 @@ def get_backend(
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
-    ``policy`` / ``faults`` drive the pool backends' chunk loop (per-chunk
+    ``policy`` / ``faults`` drive the process pool's chunk loop (per-chunk
     retries, worker-side fault injection).  The sequential backend has no
     worker process that could fail: it ignores ``policy`` and refuses an
     enabled ``faults`` schedule with
@@ -881,14 +687,12 @@ def get_backend(
         if faults is not None and faults.enabled:
             raise PartitioningError(
                 "fault injection needs a worker pool (--engine-backend "
-                "process or sharded); the sequential backend has no worker "
-                "process to fail"
+                "process); the sequential backend has no worker process to "
+                "fail"
             )
         return SequentialBackend()
     if backend == "process":
         return ProcessPoolBackend(workers, policy=policy, faults=faults)
-    if backend == "sharded":
-        return ShardedBackend(workers, policy=policy, faults=faults)
     raise PartitioningError(
         f"unknown backend {backend!r}; available: {available_backends()}"
     )

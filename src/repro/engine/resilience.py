@@ -1,10 +1,9 @@
-"""Fault-tolerance policy for the process-pool backends.
+"""Fault-tolerance policy for the process-pool backend.
 
 A multi-hour table run dies with its slowest worker unless something between
 the engine and the worker processes *tolerates* failure.  This module holds
 the two pieces the pool's chunk loop
-(:class:`~repro.engine.backends.ProcessPoolBackend`, shared by
-:class:`~repro.engine.backends.ShardedBackend`) is driven by:
+(:class:`~repro.engine.backends.ProcessPoolBackend`) is driven by:
 
 * :class:`RetryPolicy` — one dataclass holding every knob: retry budget,
   per-chunk timeout, exponential backoff with jitter, and whether an
@@ -42,7 +41,7 @@ __all__ = ["RetryPolicy", "validate_batch"]
 
 @dataclass
 class RetryPolicy:
-    """Every fault-tolerance knob of a pool backend, in one place.
+    """Every fault-tolerance knob of the process pool, in one place.
 
     Attributes
     ----------
@@ -51,7 +50,7 @@ class RetryPolicy:
         attempt count is ``max_retries + 1``.
     timeout_seconds:
         Per-chunk deadline.  ``None`` (default) disables timeouts; the
-        pool backends require one when hang injection is enabled.
+        process pool requires one when hang injection is enabled.
     backoff_seconds / backoff_multiplier / jitter:
         Delay before retry ``n`` is ``backoff_seconds * multiplier**n``
         scaled by ``1 + jitter * u`` with ``u ~ U[0, 1)``, capping thundering

@@ -17,8 +17,7 @@ The three layers, bottom up:
   :class:`TokenBucket` rate limits;
 * :mod:`repro.service.server` — the :class:`AuditService` daemon: bounded
   queue with typed backpressure, worker threads, per-job deadlines,
-  poison-job quarantine, graceful drain, job batching and sharded
-  execution;
+  poison-job quarantine, graceful drain and job batching;
 * :mod:`repro.service.http` — the ``asyncio`` HTTP front end serving the
   ``/v1`` API (and the deprecated legacy aliases) without a thread per
   connection.

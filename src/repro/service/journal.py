@@ -77,15 +77,19 @@ class MonitorEvents:
     """The journaled history of one monitored population.
 
     ``spec`` is the creation record's spec dict; ``mutation_batches`` and
-    ``audits`` are the raw journal records in append order.  The service
-    turns these back into live state (see ``repro.service.monitor``).
+    ``audits`` are the raw journal records in append order.  ``floor`` is
+    the population version compaction dropped batches up to (0 if it
+    dropped none): a snapshot must restore at least that version.  The
+    service turns these back into live state (see
+    ``repro.service.monitor``).
     """
 
-    __slots__ = ("spec", "created_at", "mutation_batches", "audits")
+    __slots__ = ("spec", "created_at", "floor", "mutation_batches", "audits")
 
-    def __init__(self, spec: dict, created_at: float) -> None:
+    def __init__(self, spec: dict, created_at: float, floor: int = 0) -> None:
         self.spec = spec
         self.created_at = created_at
+        self.floor = floor
         self.mutation_batches: list[dict] = []
         self.audits: list[dict] = []
 
@@ -461,7 +465,9 @@ class JobJournal:
                         f"duplicate mpop_create for monitor id {monitor_id!r}"
                     )
                 monitors[monitor_id] = MonitorEvents(
-                    spec=spec, created_at=float(event.get("ts", 0.0))
+                    spec=spec,
+                    created_at=float(event.get("ts", 0.0)),
+                    floor=int(event.get("floor", 0)),
                 )
             elif kind == "mpop_mutations":
                 monitor = monitors.get(event.get("id"))
@@ -522,7 +528,8 @@ class JobJournal:
         ``snapshot_versions`` maps monitor id → population version captured
         by a durable snapshot; mutation batches at or below that version
         (and audit points at or below it) are dropped because snapshot
-        restore supersedes them.  Returns bytes reclaimed.
+        restore supersedes them, and the version is recorded as the
+        monitor's floor.  Returns bytes reclaimed.
         """
         state = self.replay_state()
         events = compact_job_records(state.jobs)
@@ -580,14 +587,17 @@ def compact_monitor_records(
     A mutation batch whose last applied version is ≤ the snapshotted
     version is fully captured by the snapshot file and safe to drop; same
     for audit series points (the snapshot stores the series up to its
-    version).
+    version).  The create record carries the highest version dropped so
+    far as ``floor``, so recovery can refuse a snapshot that no longer
+    holds those batches instead of silently starting from older state.
     """
     events: "list[dict]" = []
     for monitor_id, monitor in monitors.items():
-        floor = int(snapshot_versions.get(monitor_id, -1))
-        events.append(
-            {"type": "mpop_create", "ts": monitor.created_at, "spec": monitor.spec}
-        )
+        floor = max(monitor.floor, int(snapshot_versions.get(monitor_id, -1)))
+        create = {"type": "mpop_create", "ts": monitor.created_at, "spec": monitor.spec}
+        if floor > 0:
+            create["floor"] = floor
+        events.append(create)
         for batch in monitor.mutation_batches:
             if int(batch.get("version", 0)) > floor:
                 events.append(batch)

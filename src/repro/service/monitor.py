@@ -36,7 +36,13 @@ from typing import Any, Mapping
 from repro.exceptions import MutationError, ServiceError
 from repro.service.jobs import KNOWN_SCENARIOS
 
-__all__ = ["MonitorSpec", "MonitoredPopulation"]
+__all__ = ["MonitorSpec", "MonitoredPopulation", "RETIRED_BACKENDS"]
+
+#: Removed engine backends a journaled spec may still name, each mapped to
+#: the backend it now runs on.  ``fingerprint()`` covers ``backend``, so such
+#: a spec keeps the old name (its snapshot still restores); only the auditor
+#: resolves it, and a new monitor may not name it.
+RETIRED_BACKENDS = {"sharded": "process"}
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,16 @@ class MonitorSpec:
             raise ServiceError(f"buffer_limit must be >= 1, got {self.buffer_limit}")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ServiceError("deadline_seconds must be positive")
+        from repro.engine.backends import available_backends
+
+        if self.backend is not None and not (
+            self.backend in available_backends() or self.backend in RETIRED_BACKENDS
+        ):
+            raise ServiceError(
+                f"unknown backend {self.backend!r}; choose from {available_backends()}"
+            )
+        if self.workers is not None and self.workers < 1:
+            raise ServiceError(f"workers must be >= 1, got {self.workers}")
         from repro.core.algorithms import get_algorithm
         from repro.exceptions import ReproError
         from repro.metrics.base import get_metric
@@ -220,7 +236,7 @@ class MonitoredPopulation:
     audits: int = 0
     mutations_applied: int = 0
 
-    def ensure_auditor(self, metrics=None, retry_policy=None):
+    def ensure_auditor(self, metrics=None):
         """Lazily build the persistent :class:`StreamingAuditor`."""
         if self.auditor is None:
             from repro.engine.streaming import StreamingAuditor
@@ -230,11 +246,10 @@ class MonitoredPopulation:
                 algorithm=self.spec.algorithm,
                 metric=self.spec.metric,
                 weighting=self.spec.weighting,
-                backend=self.spec.backend,
+                backend=RETIRED_BACKENDS.get(self.spec.backend, self.spec.backend),
                 workers=self.spec.workers,
                 seed=self.spec.seed,
                 metrics=metrics,
-                retry_policy=retry_policy,
                 kernel=self.spec.kernel,
             )
         return self.auditor
@@ -317,11 +332,11 @@ class MonitoredPopulation:
             or waiting >= self.spec.max_delay_seconds
         )
 
-    def run_audit(self, now: float, metrics=None, retry_policy=None) -> dict:
+    def run_audit(self, now: float, metrics=None) -> dict:
         """Full streaming re-audit; returns the journal/series record."""
         from repro.engine.deadline import Deadline
 
-        auditor = self.ensure_auditor(metrics=metrics, retry_policy=retry_policy)
+        auditor = self.ensure_auditor(metrics=metrics)
         deadline = (
             Deadline(self.spec.deadline_seconds)
             if self.spec.deadline_seconds is not None

@@ -43,9 +43,6 @@ Since PR 9 the daemon is built for *throughput*, not just robustness:
   differing only in id/priority/tenant) queued together coalesce into
   one engine dispatch whose result is journaled to every member with a
   single group-commit fsync (``batch_max`` > 1 enables this).
-* **Sharded execution** — ``shard_workers`` routes each job's engine
-  work through the atom-range :class:`~repro.engine.backends.ShardedBackend`
-  (bit-identical to sequential; see ``tests/parity/test_sharded_parity.py``).
 
 The HTTP surface is intentionally tiny and dependency-free — an
 ``asyncio`` reactor (see :mod:`repro.service.http`) — and versioned since
@@ -71,6 +68,7 @@ from repro.exceptions import (
     JobRejectedError,
     JournalWriteError,
     ServiceError,
+    SnapshotError,
     WorkerCrashError,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -81,7 +79,7 @@ from repro.service.jobs import (
     JobState,
 )
 from repro.service.journal import JobJournal
-from repro.service.monitor import MonitoredPopulation, MonitorSpec
+from repro.service.monitor import RETIRED_BACKENDS, MonitoredPopulation, MonitorSpec
 from repro.service.scheduling import TenantScheduler, TokenBucket
 
 __all__ = ["AuditService", "ServiceConfig", "REJECTION_REASONS", "HEALTH_STATES"]
@@ -155,11 +153,6 @@ class ServiceConfig:
         have a spec identical to the leader's up to id/priority/tenant
         and no deadline.  The default ``1`` disables batching, which
         keeps single-job journal and metric behaviour exactly as before.
-    shard_workers:
-        When set, job execution fans each engine batch out across this
-        many worker processes by atom-range
-        (:class:`~repro.engine.backends.ShardedBackend`); results stay
-        bit-identical to sequential.  ``None`` keeps in-process scoring.
     chaos:
         A :class:`~repro.chaos.ChaosConfig` (``serve --chaos``):
         seeded fault injection over the disk plane, the HTTP responses
@@ -197,7 +190,6 @@ class ServiceConfig:
         rate_limit: "float | None" = None,
         rate_limit_burst: "int | None" = None,
         batch_max: int = 1,
-        shard_workers: "int | None" = None,
         chaos=None,
         request_timeout: "float | None" = 30.0,
         watchdog_seconds: "float | None" = None,
@@ -260,9 +252,6 @@ class ServiceConfig:
         if batch_max < 1:
             raise ServiceError(f"batch_max must be >= 1, got {batch_max}")
         self.batch_max = batch_max
-        if shard_workers is not None and shard_workers < 1:
-            raise ServiceError(f"shard_workers must be >= 1, got {shard_workers}")
-        self.shard_workers = shard_workers
         self.chaos = chaos
         if request_timeout is not None and not request_timeout > 0:
             raise ServiceError(
@@ -297,12 +286,10 @@ class AuditService:
         self,
         config: ServiceConfig,
         metrics: "MetricsRegistry | None" = None,
-        retry_policy=None,
         clock=time.time,
     ) -> None:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.retry_policy = retry_policy
         self._clock = clock
         self.journal = JobJournal(config.workdir / "journal.jsonl")
         self._records: "dict[str, JobRecord]" = {}
@@ -841,6 +828,12 @@ class AuditService:
                 spec = MonitorSpec.from_dict(spec)
             except (ServiceError, TypeError) as exc:
                 self._reject("invalid_spec", str(exc))
+        if spec.backend in RETIRED_BACKENDS:
+            self._reject(
+                "invalid_spec",
+                f"backend {spec.backend!r} was removed; use "
+                f"{RETIRED_BACKENDS[spec.backend]!r}",
+            )
         with self._lock:
             if spec.id in self._monitors:
                 self._reject(
@@ -973,11 +966,7 @@ class AuditService:
             self._seed_monitor(monitor)
             try:
                 with self.metrics.time("service.monitor_audit_seconds"):
-                    point = monitor.run_audit(
-                        self._clock(),
-                        metrics=self.metrics,
-                        retry_policy=self.retry_policy,
-                    )
+                    point = monitor.run_audit(self._clock(), metrics=self.metrics)
             except Exception:  # noqa: BLE001 - keep the scheduler alive
                 self.metrics.inc("service.monitor_audit_errors")
                 monitor.unaudited = 0
@@ -1004,9 +993,7 @@ class AuditService:
             return
         hit = self.cache.get(self._monitor_cache_material(monitor))
         if hit is not None:
-            auditor = monitor.ensure_auditor(
-                metrics=self.metrics, retry_policy=self.retry_policy
-            )
+            auditor = monitor.ensure_auditor(metrics=self.metrics)
             auditor.seed_value_cache = hit["value_cache"]
 
     def _harvest_monitor(self, monitor: MonitoredPopulation) -> None:
@@ -1053,16 +1040,21 @@ class AuditService:
             self.metrics.inc("service.journal_bytes_reclaimed", reclaimed)
 
     def _recover_monitors(self, histories) -> None:
-        """Restore monitors: snapshot (if valid) + journaled batches past it."""
+        """Restore monitors: snapshot (if valid) + journaled batches past it.
+
+        Raises :class:`~repro.exceptions.SnapshotError` when compaction
+        dropped batches past what the snapshot restores (``floor``): the
+        journal alone can no longer rebuild that monitor.
+        """
         for monitor_id, events in histories.items():
             spec = MonitorSpec.from_dict(events.spec)
             store = None
             series: "list[dict]" = []
             snapshot_version: "int | None" = None
+            path = None
             if self.config.snapshot_in is not None:
                 path = self.config.snapshot_in / f"{spec.id}.json"
                 if path.exists():
-                    from repro.exceptions import SnapshotError
                     from repro.service.snapshot import load_snapshot
 
                     try:
@@ -1075,12 +1067,21 @@ class AuditService:
                         snapshot_version = store.version
                     except SnapshotError:
                         # A stale or corrupt snapshot is never trusted; the
-                        # journal alone can rebuild the full state.
+                        # journal rebuilds the state unless compaction
+                        # dropped batches below its floor (checked next).
                         store = None
                         series = []
                         self.metrics.inc("service.snapshot_restore_rejected")
             if store is None:
                 store = spec.build_store()
+            if store.version < events.floor:
+                where = path if path is not None else "<snapshots disabled>"
+                raise SnapshotError(
+                    f"monitor {spec.id!r}: the journal was compacted up to "
+                    f"version {events.floor}, and the snapshot {where} restores "
+                    f"only version {store.version}; refusing to start without "
+                    "the compacted mutations"
+                )
             from repro.marketplace.streaming import Mutation
 
             for batch in events.mutation_batches:
@@ -1511,18 +1512,12 @@ class AuditService:
         memo = self.cache.get(result_material)
         if memo is not None:
             return memo["payload"]
-        # Sharded execution fans histogram accumulation out by atom-range;
-        # parity-proven bit-identical, so the experiment memo above stays
-        # valid whichever backend computed the entry.
         experiment = run_scenario(
             scenario,
             algorithms=(job.algorithm,),
             metric=job.metric,
             seed=job.seed,
-            backend="sharded" if self.config.shard_workers else None,
-            workers=self.config.shard_workers,
             metrics=self.metrics,
-            retry_policy=self.retry_policy,
             checkpoint=self.config.workdir / "checkpoints" / job.id,
             resume=True,
             deadline=deadline,
@@ -1613,7 +1608,6 @@ class AuditService:
                 metric=job.metric,
                 rng=np.random.default_rng(seed_value),
                 metrics=self.metrics,
-                retry_policy=self.retry_policy,
                 deadline=deadline,
                 kernel=job.kernel or self.config.engine_kernel,
                 engine_factory=engine_factory,

@@ -42,7 +42,6 @@ from repro.core.population import Population
 from repro.core.schema import WorkerSchema
 from repro.core.splitting import split_partition
 from repro.engine.atoms import AtomTable
-from repro.engine.backends import ShardedBackend
 from repro.engine.engine import EvaluationEngine
 from repro.chaos import EngineFaults
 from repro.engine.kernels import cross_matrix
@@ -347,9 +346,8 @@ def test_process_backend_bit_identical_and_cleans_up(
 
 def test_chaos_drills_bit_identical_no_leaks(paper_population_small) -> None:
     """Soft crash (chunk retry), hard crash (pool rebuild) and corruption
-    (validate + retry) all recover the clean answer on both pool backends —
-    ``process`` retries candidate chunks, ``sharded`` its shard-sum chunks
-    through the same loop — without leaking shared-memory segments."""
+    (validate + retry) all recover the clean answer on the process pool
+    without leaking shared-memory segments."""
     scores = np.random.default_rng(11).random(paper_population_small.size)
     baseline = _run("balanced", paper_population_small, scores)
     before = _shm_segments()
@@ -359,6 +357,7 @@ def test_chaos_drills_bit_identical_no_leaks(paper_population_small) -> None:
         EngineFaults(corrupt_rate=0.4, seed=5),
     ]
     for fault_config in drills:
+        metrics = MetricsRegistry()
         result = _run(
             "balanced",
             paper_population_small,
@@ -367,27 +366,10 @@ def test_chaos_drills_bit_identical_no_leaks(paper_population_small) -> None:
             workers=2,
             retry_policy=FAST,
             fault_config=fault_config,
-        )
-        assert result.unfairness == baseline.unfairness, fault_config
-        # shard_min_rows=2 shards every multi-atom histogram of this
-        # 300-worker population.
-        metrics = MetricsRegistry()
-        sharded = _run(
-            "balanced",
-            paper_population_small,
-            scores,
-            backend=ShardedBackend(
-                workers=2, shard_min_rows=2, policy=FAST, faults=fault_config
-            ),
             metrics=metrics,
         )
-        assert sharded.unfairness == baseline.unfairness, fault_config
-        assert (
-            sharded.partitioning.canonical_key()
-            == baseline.partitioning.canonical_key()
-        )
+        assert result.unfairness == baseline.unfairness, fault_config
         counters = metrics.as_dict()["counters"]
-        assert counters["engine.shards_dispatched"] > 0
         assert (
             counters.get("engine.retries", 0)
             + counters.get("engine.backend_fallbacks", 0)

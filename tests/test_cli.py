@@ -119,32 +119,78 @@ class TestServeFlagSurface:
             ["--engine-backend", "process"],
             ["--engine-workers", "2"],
             ["--trace-out", "trace.json"],
+            ["--shard-workers", "2"],
+            ["--engine-retries", "2"],
+            ["--engine-timeout", "5"],
+            ["--engine-retry-backoff", "0.1"],
+            ["--engine-no-fallback"],
         ],
-        ids=["inject-faults", "engine-backend", "engine-workers", "trace-out"],
+        ids=[
+            "inject-faults", "engine-backend", "engine-workers", "trace-out",
+            "shard-workers", "engine-retries", "engine-timeout",
+            "engine-retry-backoff", "engine-no-fallback",
+        ],
     )
-    def test_unread_engine_flags_exit_2(self, tmp_path: Path, extra) -> None:
+    def test_unread_engine_flags_exit_2(self, tmp_path: Path, extra, capsys) -> None:
+        # Parse only: a flag that wrongly parses must fail here, not start
+        # a daemon that never returns.
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--workdir", str(tmp_path), "--port", "0", *extra])
+            build_parser().parse_args(["serve", "--workdir", str(tmp_path), *extra])
         assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_retry_flags_need_shard_workers(self, tmp_path: Path, capsys) -> None:
-        argv = ["serve", "--workdir", str(tmp_path), "--port", "0"]
-        assert main([*argv, "--engine-retries", "2"]) == 2
-        assert "--shard-workers" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--tenant-weight", "t=-1"],
+            ["--tenant-weight", "t=0"],
+            ["--tenant-weight", "t=nan"],
+            ["--tenant-weight", "t=heavy"],
+            ["--tenant-weight", "t"],
+            ["--tenant-weight", "=2"],
+            ["--cache-max-bytes", "-1"],
+            ["--request-timeout", "-5"],
+            ["--request-timeout", "nan"],
+            ["--rate-limit", "nan"],
+            ["--watchdog-seconds", "nan"],
+        ],
+        ids=[
+            "tenant-weight-negative", "tenant-weight-zero", "tenant-weight-nan",
+            "tenant-weight-not-a-number", "tenant-weight-no-equals",
+            "tenant-weight-no-tenant", "cache-max-bytes-negative",
+            "request-timeout-negative", "request-timeout-nan", "rate-limit-nan",
+            "watchdog-seconds-nan",
+        ],
+    )
+    def test_bad_values_exit_2_naming_the_flag(
+        self, tmp_path: Path, extra, capsys
+    ) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--workdir", str(tmp_path), *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {extra[0]}" in err
 
     def test_daemon_engine_flags_parse(self) -> None:
         args = build_parser().parse_args(
             [
-                "serve", "--workdir", "state", "--shard-workers", "2",
+                "serve", "--workdir", "state",
                 "--engine-kernel", "scalar", "--log-level", "info",
-                "--engine-retries", "4", "--engine-timeout", "5",
-                "--engine-retry-backoff", "0.1", "--engine-no-fallback",
             ]
         )
         assert args.engine_kernel == "scalar"
-        assert args.engine_retries == 4
-        assert args.engine_no_fallback
+        assert args.log_level == "info"
         assert args.chaos is None
+
+    def test_tenant_weights_parse(self) -> None:
+        args = build_parser().parse_args(
+            [
+                "serve", "--workdir", "state",
+                "--tenant-weight", "gold=3", "--tenant-weight", "bronze=0.5",
+            ]
+        )
+        assert args.tenant_weights == [("gold", 3.0), ("bronze", 0.5)]
 
 
 class TestTraceOut:

@@ -6,8 +6,8 @@ injected faults returns values bit-identical to an undisturbed run, because
 every recovery path (retry, straggler re-dispatch, pool rebuild, in-process
 degradation) recomputes through the same arithmetic; and an exhausted retry
 budget fails fast with a typed error instead of hanging.  Faults fire where
-a worker process can really fail: in the workers of the ``process`` and
-``sharded`` backends, which share one chunk loop.
+a worker process can really fail: in the workers of the ``process``
+backend's chunk loop.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.algorithms import get_algorithm
 from repro.engine.backends import (
     ProcessPoolBackend,
     SequentialBackend,
-    ShardedBackend,
     get_backend,
 )
 from repro.engine.resilience import RetryPolicy, validate_batch
@@ -105,15 +104,12 @@ def _audit_unfairness(population, scores, backend):
     return result.unfairness
 
 
-#: The backends with worker processes; both run the pool's chunk loop.
-POOL_BACKENDS = ("process", "sharded")
+#: The backends with worker processes, which run the pool's chunk loop.
+POOL_BACKENDS = ("process",)
 
 
 def _pool_backend(name: str, policy: RetryPolicy, faults=None):
-    """A two-worker pool backend; ``shard_min_rows=2`` shards every
-    multi-atom histogram, so small populations exercise the shard loop."""
-    if name == "sharded":
-        return ShardedBackend(workers=2, shard_min_rows=2, policy=policy, faults=faults)
+    """A two-worker pool backend."""
     return ProcessPoolBackend(workers=2, policy=policy, faults=faults)
 
 
@@ -128,8 +124,8 @@ def _run_on(name, population, scores, policy, faults=None, **kwargs):
 
 
 class TestRetryingBackend:
-    """The retrying backends — ``process`` and ``sharded`` share the
-    pool's chunk loop — under worker-side fault injection."""
+    """The retrying backend — the process pool's chunk loop — under
+    worker-side fault injection."""
 
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
     def test_bit_identical_under_injected_crashes(

@@ -267,6 +267,26 @@ class TestCompaction:
         assert [a["version"] for a in monitor.audits] == [9]
         assert monitor.spec == spec
 
+    def test_monitor_floor_is_recorded_and_survives_recompaction(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path).open()
+        journal.append({"type": "mpop_create", "ts": 0.0, "spec": {"id": "m1"}})
+        for version in (3, 6):
+            journal.append(
+                {"type": "mpop_mutations", "id": "m1", "ts": 0.0,
+                 "version": version, "mutations": []}
+            )
+        journal.compact_to()
+        assert journal.replay_state().monitors["m1"].floor == 0
+        journal.compact_to({"m1": 3})
+        assert journal.replay_state().monitors["m1"].floor == 3
+        # A later compaction without a snapshot version keeps the floor.
+        journal.compact_to()
+        journal.close()
+        monitor = JobJournal(path).replay_state().monitors["m1"]
+        assert monitor.floor == 3
+        assert [b["version"] for b in monitor.mutation_batches] == [6]
+
     def test_compaction_is_atomic_and_reopens_append_handle(self, populated):
         journal = JobJournal(populated).open()
         journal.compact_to()

@@ -18,12 +18,14 @@ from repro.exceptions import JobRejectedError, ServiceError, SnapshotError
 from repro.marketplace import random_mutation_mix
 from repro.service import (
     AuditService,
+    JobJournal,
+    MonitoredPopulation,
     MonitorSpec,
     ServiceConfig,
     compact_snapshot,
     verify_snapshot,
 )
-from repro.service.snapshot import load_snapshot, read_snapshot_payload
+from repro.service.snapshot import load_snapshot, read_snapshot_payload, write_snapshot
 
 SPEC = {
     "id": "m1",
@@ -91,6 +93,13 @@ class TestMonitorSpec:
         with pytest.raises(ServiceError):
             MonitorSpec(id="a b", scenario="table1")
 
+    def test_backend_and_workers_validated(self):
+        with pytest.raises(ServiceError, match="unknown backend 'bogus'"):
+            MonitorSpec(id="x", backend="bogus")
+        with pytest.raises(ServiceError, match="workers must be >= 1"):
+            MonitorSpec(id="x", backend="process", workers=0)
+        assert MonitorSpec(id="x", backend="process", workers=2).workers == 2
+
     def test_build_store_is_deterministic(self):
         spec = MonitorSpec.from_dict(SPEC)
         assert spec.build_store().state_digest() == spec.build_store().state_digest()
@@ -124,6 +133,21 @@ class TestIntake:
             assert rejected.value.reason == "invalid_spec"
             with pytest.raises(ServiceError):
                 service.apply_mutations("ghost", [])
+        finally:
+            service.stop()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"backend": "bogus"}, {"workers": 0}, {"backend": "sharded"}],
+        ids=["bogus-backend", "zero-workers", "retired-backend"],
+    )
+    def test_unrunnable_engine_spec_rejected(self, tmp_path, fields):
+        service = make_service(tmp_path)
+        try:
+            with pytest.raises(JobRejectedError) as rejected:
+                service.create_monitor({**SPEC, **fields})
+            assert rejected.value.reason == "invalid_spec"
+            assert service.monitors_snapshot() == []
         finally:
             service.stop()
 
@@ -245,6 +269,56 @@ class TestCrashRecovery:
             revived.stop()
 
 
+class TestRetiredBackend:
+    def test_journaled_sharded_spec_restores_and_audits(self, tmp_path):
+        # Journal + snapshot as a daemon wrote them while "sharded" was a
+        # backend: the spec keeps its name (its fingerprint gates the
+        # snapshot) and the auditor runs it as "process".
+        spec = MonitorSpec.from_dict({**SPEC, "backend": "sharded", "workers": 2})
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monitor = MonitoredPopulation(
+            spec=spec, store=spec.build_store(), created_at=0.0
+        )
+        with JobJournal(workdir / "journal.jsonl") as journal:
+            journal.append({"type": "mpop_create", "ts": 0.0, "spec": spec.to_dict()})
+            for now, seed in ((1.0, 60), (2.0, 61)):
+                mutations = [
+                    m.to_dict()
+                    for m in random_mutation_mix(
+                        monitor.store, np.random.default_rng(seed), 10
+                    )
+                ]
+                info = monitor.apply_batch(mutations, now)
+                journal.append(monitor.batch_record(info, now))
+                point = monitor.run_audit(now)
+                journal.append(point)
+                monitor.series.append(MonitoredPopulation.series_point(point))
+                if seed == 60:
+                    write_snapshot(
+                        workdir / "snapshots" / "m1.json",
+                        spec.to_dict(),
+                        monitor.store,
+                        monitor.series,
+                    )
+        monitor.close()
+        revived = make_service(tmp_path)
+        try:
+            restored = revived.monitor("m1")
+            with restored.lock:
+                assert restored.spec == spec
+                assert restored.snapshot_version == 10
+                assert restored.store.state_digest() == monitor.store.state_digest()
+            assert revived.monitor_series("m1") == monitor.series
+            counters = revived.metrics.as_dict()["counters"]
+            assert "service.snapshot_restore_rejected" not in counters
+            revived.apply_mutations("m1", mutation_batch(revived, "m1", 62, 5))
+            wait_for_audits(revived, "m1", 3)
+            assert restored.auditor.backend == "process"
+        finally:
+            revived.stop()
+
+
 class TestSnapshots:
     def _snapshotted_service(self, tmp_path):
         service = make_service(tmp_path)
@@ -350,5 +424,57 @@ class TestJournalCompactionTrigger:
             with monitor.lock:
                 assert monitor.store.state_digest() == digest
             assert revived.monitor_series("m1") == series
+        finally:
+            revived.stop()
+
+
+class TestCompactionFloor:
+    """Compaction drops batches a snapshot holds, so recovery must refuse a
+    snapshot that no longer holds them rather than start from older state."""
+
+    @staticmethod
+    def compacted_then_killed(tmp_path):
+        service = make_service(tmp_path, journal_max_bytes=2_000)
+        service.create_monitor(dict(SPEC))
+        for seed in range(40, 44):
+            service.apply_mutations("m1", mutation_batch(service, "m1", seed, 25))
+            wait_for_audits(service, "m1", seed - 39)
+        assert service.metrics.as_dict()["counters"]["service.journal_compactions"]
+        TestCrashRecovery.simulate_kill(service)
+        floor = JobJournal(service.journal.path).replay_state().monitors["m1"].floor
+        assert 0 < floor <= 100
+        return service.config.snapshot_dir / "m1.json", floor
+
+    def test_junk_snapshot_refuses_to_start(self, tmp_path):
+        path, floor = self.compacted_then_killed(tmp_path)
+        path.write_text("not json at all")
+        with pytest.raises(SnapshotError) as refused:
+            make_service(tmp_path, journal_max_bytes=2_000)
+        message = str(refused.value)
+        assert "'m1'" in message
+        assert f"version {floor}" in message
+        assert str(path) in message
+
+    def test_missing_snapshot_refuses_to_start(self, tmp_path):
+        path, floor = self.compacted_then_killed(tmp_path)
+        path.unlink()
+        with pytest.raises(SnapshotError, match=f"version {floor}"):
+            make_service(tmp_path)
+        with pytest.raises(SnapshotError, match="snapshots disabled"):
+            make_service(tmp_path, snapshot_dir=None)
+
+    def test_journal_compacted_without_a_floor_replays_as_before(self, tmp_path):
+        # A journal compacted before floors were recorded: recovery cannot
+        # tell, so it starts from the journal alone as it always did.
+        path, _ = self.compacted_then_killed(tmp_path)
+        path.unlink()
+        with JobJournal(tmp_path / "work" / "journal.jsonl") as journal:
+            events = list(journal.iter_events())
+            for event in events:
+                event.pop("floor", None)
+            journal.compact(events)
+        revived = make_service(tmp_path)
+        try:
+            assert revived.monitor("m1").store.version < 100
         finally:
             revived.stop()

@@ -431,8 +431,6 @@ class TestServiceConfigKnobs:
             ServiceConfig(tmp_path, rate_limit=0.0)
         with pytest.raises(ServiceError, match="batch_max"):
             ServiceConfig(tmp_path, batch_max=0)
-        with pytest.raises(ServiceError, match="shard_workers"):
-            ServiceConfig(tmp_path, shard_workers=0)
         with pytest.raises(ServiceError, match="weight"):
             ServiceConfig(tmp_path, tenant_weights={"t": -1})
 

@@ -1198,6 +1198,7 @@ def _print_mitigation_table(scenario, args: argparse.Namespace) -> None:
 def _command_serve(args: argparse.Namespace) -> int:
     import signal
 
+    from repro.exceptions import ReproError
     from repro.service import AuditService, ServiceConfig
 
     if args.log_level:
@@ -1236,7 +1237,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     # in-flight jobs always finish before the process exits.
     signal.signal(signal.SIGTERM, lambda *_: service.request_shutdown())
     signal.signal(signal.SIGINT, lambda *_: service.request_shutdown())
-    service.start()
+    try:
+        service.start()
+    except ReproError as exc:
+        # Recovery refused the journal or a snapshot; nothing is running yet.
+        print(f"repro-audit: error: {exc}", file=sys.stderr)
+        return 1
     host, port = service.address
     print(
         f"audit service listening on http://{host}:{port} "

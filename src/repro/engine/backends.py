@@ -292,10 +292,8 @@ class ProcessPoolBackend(ExecutionBackend):
     Parameters
     ----------
     workers:
-        Pool size (default: ``os.cpu_count()``).
-    chunk_size:
-        Candidates per task; default splits each batch into roughly
-        ``4 * workers`` tasks so stragglers rebalance.
+        Pool size (default: ``os.cpu_count()``).  Each batch splits into
+        roughly ``4 * workers`` tasks so stragglers rebalance.
     policy:
         :class:`~repro.engine.resilience.RetryPolicy` governing per-chunk
         timeouts, retry budget, backoff and sequential degradation (default:
@@ -311,7 +309,6 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(
         self,
         workers: "int | None" = None,
-        chunk_size: "int | None" = None,
         policy: "RetryPolicy | None" = None,
         faults: "EngineFaults | None" = None,
     ) -> None:
@@ -319,7 +316,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if resolved < 1:
             raise PartitioningError(f"workers must be >= 1, got {resolved}")
         self.workers = resolved
-        self.chunk_size = chunk_size
         self.policy = policy or RetryPolicy()
         self.faults = faults
         if (
@@ -445,9 +441,7 @@ class ProcessPoolBackend(ExecutionBackend):
             "backend.process.dispatch", n_candidates=len(tasks)
         ) as dispatch_span, metrics.time("backend.dispatch_seconds"):
             pool = self._ensure_pool(engine)
-            chunk_size = self.chunk_size or max(
-                1, len(tasks) // (4 * self.workers) or 1
-            )
+            chunk_size = max(1, len(tasks) // (4 * self.workers))
             chunks = [
                 tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)
             ]

@@ -36,12 +36,13 @@ from typing import Any, Mapping
 from repro.exceptions import MutationError, ServiceError
 from repro.service.jobs import KNOWN_SCENARIOS
 
-__all__ = ["MonitorSpec", "MonitoredPopulation", "RETIRED_BACKENDS"]
+__all__ = ["MonitorSpec", "MonitoredPopulation"]
 
 #: Removed engine backends a journaled spec may still name, each mapped to
 #: the backend it now runs on.  ``fingerprint()`` covers ``backend``, so such
 #: a spec keeps the old name (its snapshot still restores); only the auditor
-#: resolves it, and a new monitor may not name it.
+#: resolves it.  A new monitor may not name it: ``create_monitor`` admits
+#: only ``available_backends()``.
 RETIRED_BACKENDS = {"sharded": "process"}
 
 
@@ -101,16 +102,6 @@ class MonitorSpec:
             raise ServiceError(f"buffer_limit must be >= 1, got {self.buffer_limit}")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ServiceError("deadline_seconds must be positive")
-        from repro.engine.backends import available_backends
-
-        if self.backend is not None and not (
-            self.backend in available_backends() or self.backend in RETIRED_BACKENDS
-        ):
-            raise ServiceError(
-                f"unknown backend {self.backend!r}; choose from {available_backends()}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {self.workers}")
         from repro.core.algorithms import get_algorithm
         from repro.exceptions import ReproError
         from repro.metrics.base import get_metric

@@ -79,7 +79,7 @@ from repro.service.jobs import (
     JobState,
 )
 from repro.service.journal import JobJournal
-from repro.service.monitor import RETIRED_BACKENDS, MonitoredPopulation, MonitorSpec
+from repro.service.monitor import MonitoredPopulation, MonitorSpec
 from repro.service.scheduling import TenantScheduler, TokenBucket
 
 __all__ = ["AuditService", "ServiceConfig", "REJECTION_REASONS", "HEALTH_STATES"]
@@ -828,12 +828,18 @@ class AuditService:
                 spec = MonitorSpec.from_dict(spec)
             except (ServiceError, TypeError) as exc:
                 self._reject("invalid_spec", str(exc))
-        if spec.backend in RETIRED_BACKENDS:
+        # Checked here, not in MonitorSpec: a journaled spec replays as it
+        # was accepted (a retired backend, workers 0 = all cores).
+        from repro.engine.backends import available_backends
+
+        if spec.backend is not None and spec.backend not in available_backends():
             self._reject(
                 "invalid_spec",
-                f"backend {spec.backend!r} was removed; use "
-                f"{RETIRED_BACKENDS[spec.backend]!r}",
+                f"unknown backend {spec.backend!r}; choose from "
+                f"{available_backends()}",
             )
+        if spec.workers is not None and spec.workers < 1:
+            self._reject("invalid_spec", f"workers must be >= 1, got {spec.workers}")
         with self._lock:
             if spec.id in self._monitors:
                 self._reject(

@@ -9,7 +9,11 @@ threshold.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,14 @@ from repro.service import (
     compact_snapshot,
     verify_snapshot,
 )
-from repro.service.snapshot import load_snapshot, read_snapshot_payload, write_snapshot
+from repro.service.snapshot import (
+    load_snapshot,
+    read_snapshot_payload,
+    spec_fingerprint,
+    write_snapshot,
+)
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SPEC = {
     "id": "m1",
@@ -92,13 +103,6 @@ class TestMonitorSpec:
             MonitorSpec(id="x", debounce_seconds=-1.0)
         with pytest.raises(ServiceError):
             MonitorSpec(id="a b", scenario="table1")
-
-    def test_backend_and_workers_validated(self):
-        with pytest.raises(ServiceError, match="unknown backend 'bogus'"):
-            MonitorSpec(id="x", backend="bogus")
-        with pytest.raises(ServiceError, match="workers must be >= 1"):
-            MonitorSpec(id="x", backend="process", workers=0)
-        assert MonitorSpec(id="x", backend="process", workers=2).workers == 2
 
     def test_build_store_is_deterministic(self):
         spec = MonitorSpec.from_dict(SPEC)
@@ -265,6 +269,41 @@ class TestCrashRecovery:
             with monitor.lock:
                 assert monitor.store.state_digest() == digest
             assert revived.monitor_series("m1") == series
+        finally:
+            revived.stop()
+
+
+class TestJournaledEngineFields:
+    """``create_monitor`` refuses a backend or pool size the daemon cannot
+    run, but a spec journaled before that check still replays as it was
+    accepted, so the daemon restarts with its jobs and monitors."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"workers": 0}, {"backend": "bogus", "workers": 2}],
+        ids=["zero-workers", "bogus-backend"],
+    )
+    def test_spec_journaled_before_the_check_replays(self, tmp_path, fields):
+        spec = {**SPEC, **fields}
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        with JobJournal(workdir / "journal.jsonl") as journal:
+            journal.append({"type": "mpop_create", "ts": 0.0, "spec": spec})
+        revived = make_service(tmp_path)
+        try:
+            restored = revived.monitor("m1")
+            assert restored.spec.to_dict() == spec
+            assert restored.spec.fingerprint() == spec_fingerprint(spec)
+            revived.apply_mutations("m1", mutation_batch(revived, "m1", 70, 5))
+            if "backend" in fields:
+                # As before the check: every audit of it fails, and the
+                # daemon keeps serving.
+                deadline = time.time() + 20
+                while not revived.metrics.counter("service.monitor_audit_errors"):
+                    assert time.time() < deadline, "the audit never ran"
+                    time.sleep(0.01)
+            else:
+                wait_for_audits(revived, "m1", 1)
         finally:
             revived.stop()
 
@@ -462,6 +501,23 @@ class TestCompactionFloor:
             make_service(tmp_path)
         with pytest.raises(SnapshotError, match="snapshots disabled"):
             make_service(tmp_path, snapshot_dir=None)
+
+    def test_serve_reports_the_refusal_in_one_line(self, tmp_path):
+        path, floor = self.compacted_then_killed(tmp_path)
+        path.write_text("not json at all")
+        finished = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--workdir", str(tmp_path / "work"), "--port", "0"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        )
+        assert finished.returncode == 1
+        assert finished.stderr.startswith("repro-audit: error: monitor 'm1'")
+        assert f"version {floor}" in finished.stderr
+        assert "Traceback" not in finished.stderr
+        assert "listening on" not in finished.stdout
 
     def test_journal_compacted_without_a_floor_replays_as_before(self, tmp_path):
         # A journal compacted before floors were recorded: recovery cannot

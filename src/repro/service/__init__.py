@@ -16,11 +16,11 @@ The three layers, bottom up:
   per-tenant priority queues (:class:`TenantScheduler`) and per-tenant
   :class:`TokenBucket` rate limits;
 * :mod:`repro.service.server` — the :class:`AuditService` daemon: bounded
-  queue with typed backpressure, worker threads, per-job deadlines,
-  poison-job quarantine, graceful drain and job batching;
+  queue with typed backpressure, worker threads running every dispatch
+  (one job or a coalesced batch) through one execution path, per-job
+  deadlines, poison-job quarantine and graceful drain;
 * :mod:`repro.service.http` — the ``asyncio`` HTTP front end serving the
-  ``/v1`` API (and the deprecated legacy aliases) without a thread per
-  connection.
+  ``/v1`` API, and nothing else, without a thread per connection.
 
 The seeded fault injection threaded through these seams (disk, net and
 worker faults, crash points) lives in :mod:`repro.chaos`; ``serve

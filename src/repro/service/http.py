@@ -1,26 +1,24 @@
 """Asyncio front end for the audit daemon's HTTP API.
 
-PR 9 replaces the blocking :class:`http.server.ThreadingHTTPServer` (one
-OS thread per in-flight connection) with a single-threaded ``asyncio``
-reactor that multiplexes every connection and keeps them alive between
-requests (connection pooling on the client side costs nothing when the
-server honours keep-alive).  Two invariants make the swap safe:
+A single-threaded ``asyncio`` reactor multiplexes every connection and
+keeps them alive between requests (connection pooling on the client side
+costs nothing when the server honours keep-alive).  Two invariants:
 
-* **Byte compatibility** — the route table, payloads, status codes, the
-  ``/v1`` error envelope and the legacy ``Deprecation: true`` aliases are
-  the exact shapes the threaded server produced; the pre-existing service
-  tests run unmodified against this implementation.  All routing lives in
-  :func:`dispatch`, a pure function from ``(method, target, body)`` to
-  ``(status, payload, api_v1)`` — trivially testable without a socket.
+* **One surface** — only ``/v1`` is routed, and every error the daemon
+  sends, connection-level replies included, is the envelope
+  ``{"error": {"code", "message", "detail"}}``; any other path answers
+  404 ``not_found``.  All routing lives in :func:`dispatch`, a pure
+  function from ``(method, target, body)`` to ``(status, payload)`` —
+  trivially testable without a socket.
 * **Non-blocking reactor** — route handlers can block (``submit`` waits
   on a journal fsync), so :func:`dispatch` runs on a bounded thread pool
   via ``run_in_executor`` while the event loop keeps accepting and
   parsing other connections.  Submit/status round-trips therefore never
   queue behind a slow peer's socket.
 
-The server object exposes the same tiny surface the daemon used before
-(``server_address`` / ``serve_forever`` / ``shutdown`` / ``server_close``)
-so :class:`~repro.service.server.AuditService` drives it unchanged.
+The server object exposes a tiny surface (``server_address`` /
+``serve_forever`` / ``shutdown`` / ``server_close``) that
+:class:`~repro.service.server.AuditService` drives from its own thread.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.exceptions import JobRejectedError, ServiceError
 
 __all__ = ["AsyncHTTPServer", "dispatch", "REJECTION_STATUS"]
 
-#: Typed rejection reason → HTTP status (shared by both API surfaces).
+#: Typed rejection reason → HTTP status.
 REJECTION_STATUS = {
     "queue_full": 429,
     "rate_limited": 429,
@@ -57,31 +55,17 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 # --------------------------------------------------------------------- routing
 
 
-def _error(
-    status: int,
-    code: str,
-    message: str,
-    api_v1: bool,
-    detail: "str | None" = None,
-):
-    """One error shape per surface: the v1 envelope, or the legacy flat
-    body (without inventing keys old clients never saw)."""
-    if api_v1:
-        payload = {"error": {"code": code, "message": message, "detail": detail}}
-    else:
-        payload = {"error": message}
-    return status, payload, api_v1
+def _error(status: int, code: str, message: str):
+    """The one error shape: ``{"error": {"code", "message", "detail"}}``."""
+    return status, {"error": {"code": code, "message": message, "detail": None}}
 
 
-def _rejection(exc: JobRejectedError, api_v1: bool):
-    status = REJECTION_STATUS.get(exc.reason, 400)
-    if api_v1:
-        return _error(status, exc.reason, str(exc), api_v1)
-    return status, {"error": str(exc), "reason": exc.reason}, api_v1
+def _rejection(exc: JobRejectedError):
+    return _error(REJECTION_STATUS.get(exc.reason, 400), exc.reason, str(exc))
 
 
 def _jobs_query(query: str) -> dict:
-    """Parse/validate ``GET /jobs`` filters; raises ServiceError on junk."""
+    """Parse/validate ``GET /v1/jobs`` filters; raises ServiceError on junk."""
     allowed = {"state", "kind", "tenant", "limit"}
     filters: dict = {}
     for key, value in parse_qsl(query, keep_blank_values=True):
@@ -101,16 +85,17 @@ def _jobs_query(query: str) -> dict:
 
 
 def dispatch(service, method: str, target: str, body: bytes):
-    """Route one request; returns ``(status, json_payload, api_v1)``.
+    """Route one request; returns ``(status, json_payload)``.
 
     ``target`` is the raw request target (path + optional query string);
     ``body`` the raw request body.  Never raises for client errors — they
-    come back as the surface-appropriate error payload.
+    come back as the error envelope.  Paths outside ``/v1`` are 404.
     """
     parts = urlsplit(target)
     path = parts.path
-    api_v1 = path == "/v1" or path.startswith("/v1/")
-    route = (path[len("/v1"):] or "/") if api_v1 else path
+    if not path.startswith("/v1/"):
+        return _error(404, "not_found", f"unknown path {path!r}")
+    route = path[len("/v1"):]
 
     def read_json():
         try:
@@ -120,60 +105,58 @@ def dispatch(service, method: str, target: str, body: bytes):
 
     try:
         if method == "GET":
-            return _dispatch_get(service, route, parts.query, api_v1, path)
+            return _dispatch_get(service, route, parts.query, path)
         if method == "POST":
-            return _dispatch_post(service, route, read_json, api_v1, path)
+            return _dispatch_post(service, route, read_json, path)
     except _BadBody as exc:
-        return _error(400, "invalid_spec", str(exc), api_v1)
-    return _error(404, "not_found", f"unknown path {path!r}", api_v1)
+        return _error(400, "invalid_spec", str(exc))
+    return _error(404, "not_found", f"unknown path {path!r}")
 
 
 class _BadBody(Exception):
     """Request body failed to parse as JSON."""
 
 
-def _dispatch_get(service, route: str, query: str, api_v1: bool, path: str):
+def _dispatch_get(service, route: str, query: str, path: str):
     if route == "/healthz":
-        return 200, service.health(), api_v1
+        return 200, service.health()
     if route == "/metrics":
-        return 200, service.metrics.as_dict(), api_v1
+        return 200, service.metrics.as_dict()
     if route == "/jobs":
         try:
             filters = _jobs_query(query)
             jobs = service.jobs_snapshot(**filters)
         except ServiceError as exc:
-            return _error(400, "invalid_spec", str(exc), api_v1)
-        return 200, {"jobs": jobs}, api_v1
-    if route.startswith("/jobs/") and api_v1:
+            return _error(400, "invalid_spec", str(exc))
+        return 200, {"jobs": jobs}
+    if route.startswith("/jobs/"):
         try:
             record = service.record(route[len("/jobs/"):])
         except ServiceError as exc:
-            return _error(404, "not_found", str(exc), api_v1)
-        return 200, {"job": record.as_dict()}, api_v1
+            return _error(404, "not_found", str(exc))
+        return 200, {"job": record.as_dict()}
     if route == "/populations":
-        return 200, {"populations": service.monitors_snapshot()}, api_v1
+        return 200, {"populations": service.monitors_snapshot()}
     if route.startswith("/populations/"):
         segments = route.strip("/").split("/")
         try:
             if len(segments) == 2:
-                return 200, service.monitor(segments[1]).as_dict(), api_v1
+                return 200, service.monitor(segments[1]).as_dict()
             if len(segments) == 3 and segments[2] == "series":
-                return 200, {"series": service.monitor_series(segments[1])}, api_v1
+                return 200, {"series": service.monitor_series(segments[1])}
         except ServiceError as exc:
-            return _error(404, "not_found", str(exc), api_v1)
-    return _error(404, "not_found", f"unknown path {path!r}", api_v1)
+            return _error(404, "not_found", str(exc))
+    return _error(404, "not_found", f"unknown path {path!r}")
 
 
-def _dispatch_post(service, route: str, read_json, api_v1: bool, path: str):
-    if route == "/jobs/batch" and api_v1:
+def _dispatch_post(service, route: str, read_json, path: str):
+    if route == "/jobs/batch":
         # Bulk submit: one request, one group-committed journal fsync,
         # per-item acceptance (a batch can be partially rejected).
         payload = read_json()
         jobs = payload.get("jobs") if isinstance(payload, dict) else None
         if not isinstance(jobs, list) or not jobs:
-            return _error(
-                400, "invalid_spec", "body must be {'jobs': [spec, ...]}", api_v1
-            )
+            return _error(400, "invalid_spec", "body must be {'jobs': [spec, ...]}")
         results = []
         accepted = 0
         for outcome in service.submit_many(jobs):
@@ -188,65 +171,61 @@ def _dispatch_post(service, route: str, read_json, api_v1: bool, path: str):
             "accepted": accepted,
             "rejected": len(results) - accepted,
             "results": results,
-        }, api_v1
-    if route == "/jobs" and api_v1:
+        }
+    if route == "/jobs":
         payload = read_json()
         try:
             record = service.submit(payload)
         except JobRejectedError as exc:
-            return _rejection(exc, api_v1)
-        return 202, {"job": record.as_dict()}, api_v1
-    if route == "/submit" and not api_v1:
-        # Deprecated alias of POST /v1/jobs (original response shape).
-        payload = read_json()
-        try:
-            record = service.submit(payload)
-        except JobRejectedError as exc:
-            return _rejection(exc, api_v1)
-        return 202, {"accepted": record.job.id, "state": record.state.value}, api_v1
+            return _rejection(exc)
+        return 202, {"job": record.as_dict()}
     if route == "/populations":
         payload = read_json()
         try:
             summary = service.create_monitor(payload)
         except JobRejectedError as exc:
-            return _rejection(exc, api_v1)
-        return 201, summary, api_v1
+            return _rejection(exc)
+        return 201, summary
     if route.startswith("/populations/"):
         segments = route.strip("/").split("/")
         if len(segments) != 3 or segments[2] != "mutations":
-            return _error(404, "not_found", f"unknown path {path!r}", api_v1)
+            return _error(404, "not_found", f"unknown path {path!r}")
         payload = read_json()
         if isinstance(payload, dict):
             payload = payload.get("mutations", payload)
         try:
             info = service.apply_mutations(segments[1], payload)
         except JobRejectedError as exc:
-            return _rejection(exc, api_v1)
+            return _rejection(exc)
         except ServiceError as exc:
-            return _error(404, "not_found", str(exc), api_v1)
-        return 202, info, api_v1
-    return _error(404, "not_found", f"unknown path {path!r}", api_v1)
+            return _error(404, "not_found", str(exc))
+        return 202, info
+    return _error(404, "not_found", f"unknown path {path!r}")
 
 
 # ---------------------------------------------------------------------- server
 
 
-def _render(status: int, payload: dict, api_v1: bool, keep_alive: bool) -> bytes:
+def _render(status: int, payload: dict, keep_alive: bool) -> bytes:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = [
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
     ]
-    if not api_v1:
-        head.append("Deprecation: true")
     if not keep_alive:
         head.append("Connection: close")
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
+async def _refuse(writer, status: int, code: str, message: str) -> None:
+    """Answer a request the connection cannot serve; the caller closes it."""
+    writer.write(_render(*_error(status, code, message), keep_alive=False))
+    await writer.drain()
+
+
 class AsyncHTTPServer:
-    """Drop-in replacement for the daemon's ``ThreadingHTTPServer``.
+    """The daemon's HTTP listener: one event loop for every connection.
 
     The listening socket is bound in the constructor (so
     ``server_address`` is immediately valid, and ``port=0`` resolves to a
@@ -342,25 +321,17 @@ class AsyncHTTPServer:
                     break  # EOF between requests, or an oversized head
                 except asyncio.TimeoutError:
                     self._metric("service.request_timeouts")
-                    writer.write(
-                        _render(408, {"error": "request timed out"}, True, False)
-                    )
-                    await writer.drain()
+                    await _refuse(writer, 408, "request_timeout", "request timed out")
                     break
                 request = self._parse_head(head)
                 if request is None:
-                    writer.write(
-                        _render(400, {"error": "malformed request"}, True, False)
-                    )
-                    await writer.drain()
+                    await _refuse(writer, 400, "bad_request", "malformed request")
                     break
-                method, target, headers, keep_alive = request
-                length = int(headers.get("content-length") or 0)
+                method, target, length, keep_alive = request
                 if length > _MAX_BODY_BYTES:
-                    writer.write(
-                        _render(413, {"error": "request body too large"}, True, False)
+                    await _refuse(
+                        writer, 413, "body_too_large", "request body too large"
                     )
-                    await writer.drain()
                     break
                 try:
                     if length:
@@ -375,22 +346,19 @@ class AsyncHTTPServer:
                         body = b""
                 except asyncio.TimeoutError:
                     self._metric("service.request_timeouts")
-                    writer.write(
-                        _render(408, {"error": "request timed out"}, True, False)
-                    )
-                    await writer.drain()
+                    await _refuse(writer, 408, "request_timeout", "request timed out")
                     break
-                status, payload, api_v1 = await loop.run_in_executor(
+                status, payload = await loop.run_in_executor(
                     self._executor, dispatch, self._service, method, target, body
                 )
                 if self._chaos is not None:
                     keep_alive, finished = await self._inject_response_chaos(
-                        writer, status, payload, api_v1, keep_alive
+                        writer, status, payload, keep_alive
                     )
                     if not finished:
                         break
                 else:
-                    writer.write(_render(status, payload, api_v1, keep_alive))
+                    writer.write(_render(status, payload, keep_alive))
                     await writer.drain()
                 if not keep_alive:
                     break
@@ -404,7 +372,7 @@ class AsyncHTTPServer:
                 pass
 
     async def _inject_response_chaos(
-        self, writer, status: int, payload: dict, api_v1: bool, keep_alive: bool
+        self, writer, status: int, payload: dict, keep_alive: bool
     ) -> "tuple[bool, bool]":
         """Write one response through the network fault plane.
 
@@ -423,7 +391,7 @@ class AsyncHTTPServer:
             await asyncio.sleep(chaos.stall_seconds)
         if keep_alive and chaos.fire("close", key, metrics):
             keep_alive = False  # keep-alive churn: force a reconnect
-        data = _render(status, payload, api_v1, keep_alive)
+        data = _render(status, payload, keep_alive)
         if chaos.fire("reset", key, metrics):
             # Connection reset mid-body: half the bytes, then RST.
             writer.write(data[: max(1, len(data) // 2)])
@@ -446,7 +414,9 @@ class AsyncHTTPServer:
 
     @staticmethod
     def _parse_head(head: bytes):
-        """``(method, target, headers, keep_alive)`` or None if malformed."""
+        """``(method, target, content_length, keep_alive)``, or None if
+        malformed (a ``Content-Length`` that is not a decimal integer
+        included)."""
         request_line, _, header_block = head.partition(b"\r\n")
         pieces = request_line.decode("latin-1").split()
         if len(pieces) != 3:
@@ -460,8 +430,11 @@ class AsyncHTTPServer:
             if not sep:
                 return None
             headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            return None
         connection = headers.get("connection", "").lower()
         keep_alive = connection != "close" and (
             version != "HTTP/1.0" or connection == "keep-alive"
         )
-        return method, target, headers, keep_alive
+        return method, target, int(length), keep_alive

@@ -38,12 +38,14 @@ from repro.service.jobs import KNOWN_SCENARIOS
 
 __all__ = ["MonitorSpec", "MonitoredPopulation"]
 
-#: Removed engine backends a journaled spec may still name, each mapped to
-#: the backend it now runs on.  ``fingerprint()`` covers ``backend``, so such
-#: a spec keeps the old name (its snapshot still restores); only the auditor
-#: resolves it.  A new monitor may not name it: ``create_monitor`` admits
-#: only ``available_backends()``.
+#: Removed engine and kernel backends a journaled spec may still name, each
+#: mapped to the one it now runs on.  ``fingerprint()`` covers ``backend``
+#: and ``kernel``, so such a spec keeps the old name (its snapshot still
+#: restores); only the auditor resolves it.  A new monitor may not name
+#: one: ``create_monitor`` admits only ``available_backends()`` and
+#: ``KERNEL_BACKENDS``.
 RETIRED_BACKENDS = {"sharded": "process"}
+RETIRED_KERNELS = {"numba": "numpy"}
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class MonitorSpec:
     # Bit-identical across backends, and omitted from to_dict() when unset,
     # so pre-existing spec fingerprints (which gate snapshot restore) are
     # unchanged by its introduction.  The retired "numba" backend, which
-    # journals may still name, maps to "numpy".
+    # journals may still name, runs as "numpy" (RETIRED_KERNELS).
     kernel: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -115,16 +117,6 @@ class MonitorSpec:
             raise ServiceError(
                 f"unknown weighting {self.weighting!r}; use 'uniform' or 'size'"
             )
-        if self.kernel == "numba":
-            object.__setattr__(self, "kernel", "numpy")
-        if self.kernel is not None:
-            from repro.engine.kernels import KERNEL_BACKENDS
-
-            if self.kernel not in KERNEL_BACKENDS:
-                raise ServiceError(
-                    f"unknown kernel backend {self.kernel!r}; "
-                    f"choose from {KERNEL_BACKENDS}"
-                )
 
     # ------------------------------------------------------------- (de)serde
 
@@ -241,7 +233,7 @@ class MonitoredPopulation:
                 workers=self.spec.workers,
                 seed=self.spec.seed,
                 metrics=metrics,
-                kernel=self.spec.kernel,
+                kernel=RETIRED_KERNELS.get(self.spec.kernel, self.spec.kernel),
             )
         return self.auditor
 

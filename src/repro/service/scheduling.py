@@ -25,9 +25,9 @@ the service two independent fairness levers:
     one atomic step via a key → queued-ids index, so batch collection is
     O(batch) no matter how deep the backlog is — never a scan of the
     heaps.  Followers leave the index immediately; their heap entries
-    stay behind as tombstoned ghosts that ``get``/``take_matching`` skip
-    (and clean up) lazily, which keeps removal O(1) while staying correct
-    when a retried job re-queues the same id behind its own ghost.
+    stay behind as tombstoned ghosts that ``get`` skips (and cleans up)
+    lazily, which keeps removal O(1) while staying correct when a retried
+    job re-queues the same id behind its own ghost.
 
 :class:`TokenBucket`
     The classic refill-at-``rate``, burst-capped counter used by the
@@ -226,40 +226,6 @@ class TenantScheduler:
             return job_id, key
         del self._heaps[tenant]
         return None
-
-    def take_matching(self, match, limit: int) -> "list[str]":
-        """Remove and return up to ``limit`` queued job ids accepted by
-        ``match`` (a ``job_id -> bool`` predicate), scanning tenants in
-        name order and each tenant's jobs in dispatch order.
-
-        The generic (O(queue)) pull API; the daemon's batching path uses
-        the indexed :meth:`get_batch` instead.  Each taken job is charged
-        to its tenant's stride exactly like a normal dispatch.
-        """
-        taken: "list[str]" = []
-        if limit <= 0:
-            return taken
-        with self._cond:
-            for tenant in sorted(self._heaps):
-                if len(taken) >= limit:
-                    break
-                keep: "list[tuple[int, int, str]]" = []
-                for entry in sorted(self._heaps[tenant]):
-                    if self._consume_ghost(entry[2]):
-                        continue
-                    if len(taken) < limit and match(entry[2]):
-                        taken.append(entry[2])
-                        self._deindex(entry[2])
-                        self._passes[tenant] += 1.0 / self.weight(tenant)
-                    else:
-                        keep.append(entry)
-                if keep:
-                    heapq.heapify(keep)
-                    self._heaps[tenant] = keep
-                else:
-                    del self._heaps[tenant]
-            self._size -= len(taken)
-        return taken
 
     def close(self) -> None:
         """Release every blocked ``get`` with the ``None`` sentinel."""

@@ -42,23 +42,22 @@ Since PR 9 the daemon is built for *throughput*, not just robustness:
 * **Batching** — identical small specs (same scenario/algorithm/seed...,
   differing only in id/priority/tenant) queued together coalesce into
   one engine dispatch whose result is journaled to every member with a
-  single group-commit fsync (``batch_max`` > 1 enables this).
+  single group-commit fsync (``batch_max`` > 1 enables this).  Every
+  dispatch, one job or a coalesced batch, runs through the one
+  execution path, :meth:`AuditService._run`.
 
 The HTTP surface is intentionally tiny and dependency-free — an
-``asyncio`` reactor (see :mod:`repro.service.http`) — and versioned since
-``/v1``: ``GET /v1/healthz``, ``GET /v1/metrics``, ``GET/POST /v1/jobs``
-(listing accepts ``state=`` / ``kind=`` / ``tenant=`` / ``limit=``
-filters), ``GET /v1/jobs/<id>``, ``/v1/populations...`` — with one shared
-error envelope ``{"error": {"code", "message", "detail"}}``.  The
-historical unversioned routes survive as deprecated aliases
-(``Deprecation: true`` header).  See ``docs/api.md`` and
-``docs/service.md``.
+``asyncio`` reactor (see :mod:`repro.service.http`) serving only ``/v1``:
+``GET /v1/healthz``, ``GET /v1/metrics``, ``GET/POST /v1/jobs`` (listing
+accepts ``state=`` / ``kind=`` / ``tenant=`` / ``limit=`` filters),
+``POST /v1/jobs/batch``, ``GET /v1/jobs/<id>``, ``/v1/populations...`` —
+with one error envelope ``{"error": {"code", "message", "detail"}}``.
+See ``docs/api.md`` and ``docs/service.md``.
 """
 
 from __future__ import annotations
 
 import json
-import signal
 import threading
 import time
 from pathlib import Path
@@ -67,6 +66,7 @@ from repro import chaos
 from repro.exceptions import (
     JobRejectedError,
     JournalWriteError,
+    ReproError,
     ServiceError,
     SnapshotError,
     WorkerCrashError,
@@ -359,7 +359,16 @@ class AuditService:
         )
         self._monitor_thread.start()
         if self.config.port is not None:
-            self._http = _build_http_server(self, self.config.host, self.config.port)
+            from repro.service.http import AsyncHTTPServer
+
+            spec = self.config.chaos
+            self._http = AsyncHTTPServer(
+                self,
+                self.config.host,
+                self.config.port,
+                request_timeout=self.config.request_timeout,
+                chaos=None if spec is None else spec.net,
+            )
             self.address = self._http.server_address[:2]
             self._http_thread = threading.Thread(
                 target=self._http.serve_forever, name="audit-http", daemon=True
@@ -377,8 +386,11 @@ class AuditService:
         recovered = 0
         for record in self._records.values():
             if record.state is JobState.RUNNING:
-                # The previous process died mid-job; the journaled edge makes
-                # the re-queue durable before any worker can pick it up.
+                self.metrics.inc("service.recovered")
+            if record.state in (JobState.RUNNING, JobState.FAILED):
+                # The previous process died mid-job (RUNNING) or before the
+                # retry edge (FAILED); the journaled edge makes the re-queue
+                # durable before any worker can pick it up.
                 record.transition(
                     JobState.PENDING, reason="recovered", timestamp=self._clock()
                 )
@@ -388,18 +400,7 @@ class AuditService:
                     record.updated_at,
                     reason="recovered",
                 )
-                self.metrics.inc("service.recovered")
-            if record.state in (JobState.PENDING, JobState.FAILED):
-                if record.state is JobState.FAILED:
-                    record.transition(
-                        JobState.PENDING, reason="recovered", timestamp=self._clock()
-                    )
-                    self.journal.append_state(
-                        record.job.id,
-                        JobState.PENDING,
-                        record.updated_at,
-                        reason="recovered",
-                    )
+            if record.state is JobState.PENDING:
                 self._enqueue(record.job)
                 recovered += 1
         if recovered:
@@ -457,21 +458,6 @@ class AuditService:
                 self._write_snapshot(monitor)
                 monitor.close()
         self.journal.close()
-
-    def serve_forever(self, install_signals: bool = True) -> int:
-        """Run until SIGTERM/SIGINT (or :meth:`request_shutdown`); returns 0.
-
-        The signal handler only sets an event — the drain itself happens on
-        this thread, so in-flight jobs always finish before exit.
-        """
-        if install_signals:
-            signal.signal(signal.SIGTERM, lambda *_: self.request_shutdown())
-            signal.signal(signal.SIGINT, lambda *_: self.request_shutdown())
-        self.start()
-        while not self.wait_for_shutdown(timeout=0.2):
-            pass
-        self.stop()
-        return 0
 
     def __enter__(self) -> "AuditService":
         return self.start()
@@ -608,8 +594,8 @@ class AuditService:
         The re-queue rides the existing crash-recovery ``RUNNING →
         PENDING`` edge, and the bumped ``attempt`` counter doubles as a
         lease token: when the stalled worker finally produces a result,
-        :meth:`_finish_if_current` sees the stale token and discards it
-        instead of double-completing the job.
+        :meth:`_run` sees the stale token and discards it instead of
+        double-completing the job.
         """
         limit = self.config.watchdog_seconds
         requeued = 0
@@ -629,9 +615,7 @@ class AuditService:
                     # re-dispatched; the journal's stale RUNNING replays
                     # as a re-queue anyway.  Degrade and stop sweeping.
                     failed = exc
-                self._dispatch(record.job)
-                self._queued += 1
-                self.metrics.set_gauge("service.queue_depth", self._queued)
+                self._enqueue(record.job)
                 self.metrics.inc("service.watchdog_requeues")
                 requeued += 1
                 if failed is not None:
@@ -700,20 +684,35 @@ class AuditService:
         so capacity checks stay exact even though the fsync and scheduler
         dispatch happen after the lock drops (see :meth:`_commit`).
         """
-        if self._shutdown.is_set():
-            self._reject("shutting_down", "the daemon is draining for shutdown")
-        self._reject_if_degraded()
+        self._require_writable()
         if isinstance(job, dict):
             try:
                 job = AuditJob.from_dict(job)
             except ServiceError as exc:
                 self._reject("invalid_spec", str(exc))
-        try:
-            from repro.core.algorithms import get_algorithm
+        elif not isinstance(job, AuditJob):
+            self._reject("invalid_spec", "a job spec must be a JSON object")
+        # Checked here, not in AuditJob: a journaled job replays as it was
+        # accepted, and its attempts fail as they always did.
+        from repro.core.algorithms import get_algorithm
+        from repro.metrics import get_metric
+        from repro.simulation.scenarios import function_names
 
+        try:
             get_algorithm(job.algorithm)
-        except Exception as exc:
-            self._reject("invalid_spec", f"unknown algorithm {job.algorithm!r}: {exc}")
+            get_metric(job.metric)
+            names = set(function_names(job.scenario))
+            missing = sorted((f for f in job.functions if f not in names), key=str)
+        except (ReproError, TypeError) as exc:  # TypeError: unhashable values
+            self._reject("invalid_spec", str(exc))
+        if missing:
+            self._reject(
+                "invalid_spec", f"scenario {job.scenario!r} has no function(s) {missing}"
+            )
+        if not isinstance(job.priority, (int, float)):
+            # The scheduler's heaps order by priority; one that does not
+            # compare with numbers would kill the worker popping it.
+            self._reject("invalid_spec", f"priority must be a number: {job.priority!r}")
         with self._lock:
             if job.id in self._records:
                 self._reject("duplicate_id", f"job id {job.id!r} already journaled")
@@ -788,7 +787,11 @@ class AuditService:
         self.metrics.inc(f"service.rejected.{reason}")
         raise JobRejectedError(reason, f"job rejected ({reason}): {detail}")
 
-    def _reject_if_degraded(self) -> None:
+    def _require_writable(self) -> None:
+        """Reject intake while draining (``shutting_down``) or READ_ONLY
+        (``degraded``)."""
+        if self._shutdown.is_set():
+            self._reject("shutting_down", "the daemon is draining for shutdown")
         with self._health_cond:
             if self._state != "READ_ONLY":
                 return
@@ -809,6 +812,8 @@ class AuditService:
         return bucket.try_acquire()
 
     def _enqueue(self, job: AuditJob) -> None:
+        """Queue (or re-queue) one job on a fresh queue slot; intake
+        dispatches on the slot :meth:`_accept` reserved instead."""
         with self._lock:
             self._dispatch(job)
             self._queued += 1
@@ -820,17 +825,18 @@ class AuditService:
         """Register a new monitored population, journal-ahead, and return
         its summary.  Rejections reuse the job taxonomy
         (:data:`REJECTION_REASONS`)."""
-        if self._shutdown.is_set():
-            self._reject("shutting_down", "the daemon is draining for shutdown")
-        self._reject_if_degraded()
+        self._require_writable()
         if isinstance(spec, dict):
             try:
                 spec = MonitorSpec.from_dict(spec)
             except (ServiceError, TypeError) as exc:
                 self._reject("invalid_spec", str(exc))
+        elif not isinstance(spec, MonitorSpec):
+            self._reject("invalid_spec", "a monitor spec must be a JSON object")
         # Checked here, not in MonitorSpec: a journaled spec replays as it
-        # was accepted (a retired backend, workers 0 = all cores).
+        # was accepted (a retired backend or kernel, workers 0 = all cores).
         from repro.engine.backends import available_backends
+        from repro.engine.kernels import KERNEL_BACKENDS
 
         if spec.backend is not None and spec.backend not in available_backends():
             self._reject(
@@ -840,6 +846,12 @@ class AuditService:
             )
         if spec.workers is not None and spec.workers < 1:
             self._reject("invalid_spec", f"workers must be >= 1, got {spec.workers}")
+        if spec.kernel is not None and spec.kernel not in KERNEL_BACKENDS:
+            self._reject(
+                "invalid_spec",
+                f"unknown kernel backend {spec.kernel!r}; "
+                f"choose from {KERNEL_BACKENDS}",
+            )
         with self._lock:
             if spec.id in self._monitors:
                 self._reject(
@@ -877,9 +889,7 @@ class AuditService:
         must describe the daemon's actual state) and the request is
         rejected with ``invalid_spec`` naming the failing position.
         """
-        if self._shutdown.is_set():
-            self._reject("shutting_down", "the daemon is draining for shutdown")
-        self._reject_if_degraded()
+        self._require_writable()
         if not isinstance(mutations, list):
             self._reject("invalid_spec", "mutations payload must be a list")
         monitor = self.monitor(monitor_id)
@@ -1217,10 +1227,7 @@ class AuditService:
             # popped jobs stay PENDING) until the probe wins the disk back.
             if not self._await_healthy():
                 break
-            if len(batch) == 1:
-                self._run_job(batch[0])
-            else:
-                self._run_batch(batch)
+            self._run(batch)
 
     def _transition(
         self, record: JobRecord, state: JobState, sync: bool = True, **details
@@ -1228,34 +1235,34 @@ class AuditService:
         """Apply one edge to the table and the journal atomically.
 
         ``sync=False`` buffers the journal write (ordered, not yet
-        durable) so batch paths can group-commit many edges under one
-        fsync; the caller must invoke ``journal.sync()`` before treating
-        the edge as acknowledged.
+        durable) so :meth:`_run` can group-commit all the edges of a phase
+        under one fsync; the caller must invoke ``journal.sync()`` before
+        treating the edge as acknowledged.
         """
         with self._lock:
             now = self._clock()
             record.transition(state, timestamp=now, **details)
             self.journal.append_state(record.job.id, state, now, sync=sync, **details)
 
-    def _start_running(self, record: JobRecord, *, sync: bool = True) -> None:
-        """Queue-exit bookkeeping + the RUNNING edge for one job."""
+    def _start_running(self, record: JobRecord) -> None:
+        """Queue-exit bookkeeping + the unsynced RUNNING edge for one job."""
         wait = self._clock() - record.updated_at
         if wait >= 0:
             self.metrics.observe("service.wait_seconds", wait)
         self._transition(
-            record, JobState.RUNNING, attempt=record.attempt + 1, sync=sync
+            record, JobState.RUNNING, attempt=record.attempt + 1, sync=False
         )
 
-    def _finish(self, record: JobRecord, result: dict, *, sync: bool = True) -> None:
-        """Apply the job's terminal edge for a successful execution."""
+    def _finish(self, record: JobRecord, result: dict) -> None:
+        """Apply the unsynced terminal edge of a successful execution."""
         if result["deadline_hit"]:
             self._transition(
                 record, JobState.CANCELLED, reason="deadline", result=result,
-                sync=sync,
+                sync=False,
             )
             self.metrics.inc("service.cancelled")
         else:
-            self._transition(record, JobState.DONE, result=result, sync=sync)
+            self._transition(record, JobState.DONE, result=result, sync=False)
             self.metrics.inc("service.completed")
 
     def _maybe_worker_chaos(self, key: str) -> None:
@@ -1277,45 +1284,6 @@ class AuditService:
         double-applied."""
         return record.state is JobState.RUNNING and record.attempt == lease
 
-    def _run_job(self, job_id: str) -> None:
-        with self._lock:
-            record = self._records[job_id]
-            self._queued -= 1
-            self._running += 1
-            self.metrics.set_gauge("service.queue_depth", self._queued)
-            self.metrics.set_gauge("service.running", self._running)
-            if record.state is not JobState.PENDING:
-                # A stale scheduler entry (the job advanced through another
-                # path while queued); nothing to run.
-                with self._idle:
-                    self._running -= 1
-                    self.metrics.set_gauge("service.running", self._running)
-                    self._idle.notify_all()
-                return
-        try:
-            try:
-                self._start_running(record)
-            except JournalWriteError as exc:
-                # The RUNNING edge could not be journaled: put the job
-                # back, degrade, and let the gated worker loop retry
-                # after recovery.
-                self._requeue_degraded([record], exc)
-                return
-            lease = record.attempt
-            try:
-                with self.metrics.time("service.job_seconds"):
-                    self._maybe_worker_chaos(f"{record.job.id}:{lease}")
-                    result = self._execute(record.job)
-            except Exception as exc:  # noqa: BLE001 - poison jobs raise anything
-                self._handle_failure(record, exc, lease=lease)
-            else:
-                self._finish_if_current(record, result, lease)
-        finally:
-            with self._idle:
-                self._running -= 1
-                self.metrics.set_gauge("service.running", self._running)
-                self._idle.notify_all()
-
     def _requeue_degraded(
         self, records: "list[JobRecord]", exc: JournalWriteError
     ) -> None:
@@ -1328,24 +1296,7 @@ class AuditService:
                     # The in-memory edge applied before the append failed;
                     # ride the legal crash-recovery edge back.
                     record.transition(JobState.PENDING, reason="degraded", timestamp=now)
-                self._dispatch(record.job)
-                self._queued += 1
-            self.metrics.set_gauge("service.queue_depth", self._queued)
-
-    def _finish_if_current(
-        self, record: JobRecord, result: dict, lease: int
-    ) -> None:
-        """Terminal edge for a successful run — unless the lease is stale."""
-        with self._lock:
-            if not self._lease_current(record, lease):
-                self.metrics.inc("service.stale_results_discarded")
-                return
-            try:
-                self._finish(record, result)
-            except JournalWriteError as exc:
-                if not exc.written:
-                    self._unjournaled.add(record.job.id)
-                self._journal_failure("journal_write_failure", exc)
+                self._enqueue(record.job)
 
     # ------------------------------------------------------------- batching
 
@@ -1365,9 +1316,11 @@ class AuditService:
         # reason.
         return job.deadline_seconds is None and job.kind == "audit"
 
-    def _run_batch(self, job_ids: "list[str]") -> None:
-        """One engine dispatch for N identical specs; every lifecycle edge
-        is journaled (ordered) with one group-commit fsync per phase."""
+    def _run(self, job_ids: "list[str]") -> None:
+        """One engine dispatch for one job or N identical specs; every
+        lifecycle edge is journaled (ordered) with one group-commit fsync
+        per phase.  The terminal phase (lease check, appends, fsync) runs
+        under the service lock, so a stale lease is never applied."""
         with self._lock:
             records = [self._records[job_id] for job_id in job_ids]
             self._queued -= len(records)
@@ -1380,11 +1333,11 @@ class AuditService:
                 return
             try:
                 for record in records:
-                    self._start_running(record, sync=False)
+                    self._start_running(record)
                 self.journal.sync()
             except JournalWriteError as exc:
                 # Some RUNNING edges may be in memory/buffer, none are
-                # durable: park the whole batch back in the queue and
+                # durable: park the whole dispatch back in the queue and
                 # degrade — the gated worker loop re-runs it post-recovery.
                 self._requeue_degraded(records, exc)
                 return
@@ -1397,7 +1350,7 @@ class AuditService:
                     result = self._execute(records[0].job)
             except Exception as exc:  # noqa: BLE001 - poison jobs raise anything
                 for record in records:
-                    self._handle_failure(record, exc, lease=leases[record.job.id])
+                    self._handle_failure(record, exc, leases[record.job.id])
             else:
                 failed: "JournalWriteError | None" = None
                 with self._lock:
@@ -1411,7 +1364,7 @@ class AuditService:
                         )
                     for record in live:
                         try:
-                            self._finish(record, result, sync=False)
+                            self._finish(record, result)
                         except JournalWriteError as exc:
                             if not exc.written:
                                 self._unjournaled.add(record.job.id)
@@ -1426,7 +1379,7 @@ class AuditService:
                             failed = exc
                 if failed is not None:
                     self._journal_failure("journal_write_failure", failed)
-                elif live:
+                elif live and len(job_ids) > 1:
                     self.metrics.inc("service.batches")
                     self.metrics.inc("service.batched_jobs", len(live))
         finally:
@@ -1435,13 +1388,11 @@ class AuditService:
                 self.metrics.set_gauge("service.running", self._running)
                 self._idle.notify_all()
 
-    def _handle_failure(
-        self, record: JobRecord, exc: Exception, *, lease: "int | None" = None
-    ) -> None:
+    def _handle_failure(self, record: JobRecord, exc: Exception, lease: int) -> None:
         reason = f"{type(exc).__name__}: {exc}"
         failed: "JournalWriteError | None" = None
         with self._lock:
-            if lease is not None and not self._lease_current(record, lease):
+            if not self._lease_current(record, lease):
                 self.metrics.inc("service.stale_results_discarded")
                 return
             try:
@@ -1693,29 +1644,3 @@ class AuditService:
         )
         return builder(config)
 
-
-# ------------------------------------------------------------------- HTTP
-
-
-def _build_http_server(service: AuditService, host: str, port: int):
-    """An :class:`~repro.service.http.AsyncHTTPServer` exposing ``/v1``.
-
-    ``/v1/...`` is the contract (see ``docs/api.md``): every error is the
-    shared envelope ``{"error": {"code", "message", "detail"}}`` and job
-    submission/inspection lives under ``/v1/jobs``.  The historical
-    unversioned routes (``/submit``, ``/jobs``, ``/healthz``, ...) remain
-    as thin aliases with their original response shapes, but every reply
-    on them carries a ``Deprecation: true`` header.  Routing is the pure
-    :func:`repro.service.http.dispatch`; this factory only exists as the
-    daemon's single seam for swapping server implementations.
-    """
-    from repro.service.http import AsyncHTTPServer
-
-    spec = service.config.chaos
-    return AsyncHTTPServer(
-        service,
-        host,
-        port,
-        request_timeout=service.config.request_timeout,
-        chaos=None if spec is None else spec.net,
-    )

@@ -31,6 +31,7 @@ __all__ = [
     "table1_scenario",
     "table2_scenario",
     "table3_scenario",
+    "function_names",
 ]
 
 
@@ -84,6 +85,17 @@ def table3_scenario(config: PaperConfig | None = None, bias_seed: int = 7) -> Sc
         functions=dict(paper_biased_functions(seed=bias_seed)),
         hist_spec=HistogramSpec(bins=config.histogram_bins),
     )
+
+
+def function_names(scenario: str) -> "tuple[str, ...]":
+    """The scoring-function names a scenario defines, by its short name
+    (``figure1`` / ``table1`` / ``table2`` / ``table3``), without
+    generating its population."""
+    if scenario == "figure1":
+        return ("f",)
+    if scenario == "table3":
+        return tuple(paper_biased_functions())
+    return tuple(paper_functions())
 
 
 def _random_function_scenario(name: str, config: PaperConfig) -> Scenario:

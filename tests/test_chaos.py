@@ -29,7 +29,7 @@ from repro.chaos import (
     seeded_roll,
 )
 from repro.exceptions import JobRejectedError, JournalWriteError
-from repro.service import AuditJob, AuditService, JobState, ServiceConfig
+from repro.service import AuditJob, AuditService, JobJournal, JobState, ServiceConfig
 from repro.service.http import REJECTION_STATUS, dispatch
 
 
@@ -361,6 +361,60 @@ class TestDegradedStateMachine:
             service.stop()
 
 
+class TestTerminalEdgeBackfill:
+    """A DONE edge the disk refused outright is parked, re-appended by the
+    probe once the disk recovers, and replays after a restart — for a
+    one-job dispatch and a coalesced one alike."""
+
+    @pytest.mark.parametrize(
+        "n_jobs, batch_max", [(1, 1), (3, 8)], ids=["one-job", "coalesced-three"]
+    )
+    def test_refused_done_edges_are_backfilled(self, tmp_path, n_jobs, batch_max):
+        ids = [f"b{i}" for i in range(n_jobs)]
+        # Journaled before start, so recovery queues them all before any
+        # worker runs: identical specs then leave in one dispatch.
+        with JobJournal(tmp_path / "journal.jsonl") as journal:
+            for job_id in ids:
+                journal.append_submit(_job(job_id), timestamp=100.0)
+        service = _service(tmp_path, batch_max=batch_max)
+        append_state = service.journal.append_state
+        refused = set()
+
+        def refuse_first_done(job_id, state, timestamp, **kwargs):
+            if state is JobState.DONE and job_id not in refused:
+                refused.add(job_id)
+                raise JournalWriteError("injected: DONE append refused")
+            return append_state(job_id, state, timestamp, **kwargs)
+
+        service.journal.append_state = refuse_first_done
+        execute, dispatched = service._execute, []
+
+        def counting_execute(job):
+            dispatched.append(job.id)
+            return execute(job)
+
+        service._execute = counting_execute
+        service.start()
+        try:
+            _wait(
+                lambda: service.metrics.counter("service.journal_backfilled_edges")
+                == n_jobs,
+                message="terminal-edge backfill",
+            )
+            _wait(lambda: service.state == "HEALTHY", message="probe recovery")
+            assert refused == set(ids)
+            assert dispatched == ids[:1]  # one engine dispatch for all of them
+            results = {job_id: service.record(job_id).result for job_id in ids}
+            assert all(results.values())
+        finally:
+            service.stop()
+        with _service(tmp_path) as revived:
+            for job_id in ids:
+                record = revived.record(job_id)
+                assert record.state is JobState.DONE
+                assert record.result == results[job_id]
+
+
 # ----------------------------------------------------- watchdog + stale lease
 
 
@@ -538,7 +592,7 @@ class TestObservability:
         service = _service(tmp_path, chaos=chaos)
         service.start()
         try:
-            status, payload, _ = dispatch(service, "GET", "/v1/healthz", b"")
+            status, payload = dispatch(service, "GET", "/v1/healthz", b"")
             assert status == 200
             assert payload["state"] == "HEALTHY"
             assert payload["status"] == "ok"
@@ -563,7 +617,7 @@ class TestObservability:
         try:
             service.enter_degraded("injected")
             _wait(lambda: service.state == "HEALTHY", message="probe recovery")
-            status, payload, _ = dispatch(service, "GET", "/v1/metrics", b"")
+            status, payload = dispatch(service, "GET", "/v1/metrics", b"")
             assert status == 200
             counters = payload["counters"]
             assert counters["service.degraded_seconds"] > 0
@@ -648,6 +702,53 @@ class TestRequestDeadline:
                 )
                 response = _recv_all(sock)
             assert response.startswith(b"HTTP/1.1 200 ")
+        finally:
+            service.stop()
+
+
+class TestConnectionLevelReplies:
+    """Replies the connection sends itself carry the error envelope, and a
+    bad head closes only its own connection."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, code",
+        [
+            (b"NONSENSE\r\n\r\n", 400, "bad_request"),
+            (
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+                400,
+                "bad_request",
+            ),
+            (
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+                400,
+                "bad_request",
+            ),
+            (
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 67108865\r\n\r\n",
+                413,
+                "body_too_large",
+            ),
+            (b"GET /v1/healthz HTTP/1.1\r\n", 408, "request_timeout"),
+        ],
+        ids=["bad-request-line", "length-abc", "length-negative", "too-large", "stall"],
+    )
+    def test_refused_request_gets_the_envelope(
+        self, tmp_path, request_bytes, status, code
+    ):
+        service = _service(tmp_path, port=0, request_timeout=0.3)
+        service.start()
+        try:
+            host, port = service.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(request_bytes)
+                response = _recv_all(sock)
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert json.loads(body)["error"]["code"] == code
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                assert _recv_all(sock).startswith(b"HTTP/1.1 200 ")
         finally:
             service.stop()
 

@@ -142,8 +142,20 @@ class TestIntake:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"backend": "bogus"}, {"workers": 0}, {"backend": "sharded"}],
-        ids=["bogus-backend", "zero-workers", "retired-backend"],
+        [
+            {"backend": "bogus"},
+            {"workers": 0},
+            {"backend": "sharded"},
+            {"kernel": "bogus"},
+            {"kernel": "numba"},
+        ],
+        ids=[
+            "bogus-backend",
+            "zero-workers",
+            "retired-backend",
+            "bogus-kernel",
+            "retired-kernel",
+        ],
     )
     def test_unrunnable_engine_spec_rejected(self, tmp_path, fields):
         service = make_service(tmp_path)
@@ -308,39 +320,44 @@ class TestJournaledEngineFields:
             revived.stop()
 
 
+def journal_with_snapshot(tmp_path, spec: MonitorSpec) -> MonitoredPopulation:
+    """Journal two audited mutation batches of ``spec`` and snapshot the
+    first, as a daemon running that spec wrote them; returns the monitor."""
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monitor = MonitoredPopulation(spec=spec, store=spec.build_store(), created_at=0.0)
+    with JobJournal(workdir / "journal.jsonl") as journal:
+        journal.append({"type": "mpop_create", "ts": 0.0, "spec": spec.to_dict()})
+        for now, seed in ((1.0, 60), (2.0, 61)):
+            mutations = [
+                m.to_dict()
+                for m in random_mutation_mix(
+                    monitor.store, np.random.default_rng(seed), 10
+                )
+            ]
+            info = monitor.apply_batch(mutations, now)
+            journal.append(monitor.batch_record(info, now))
+            point = monitor.run_audit(now)
+            journal.append(point)
+            monitor.series.append(MonitoredPopulation.series_point(point))
+            if seed == 60:
+                write_snapshot(
+                    workdir / "snapshots" / "m1.json",
+                    spec.to_dict(),
+                    monitor.store,
+                    monitor.series,
+                )
+    monitor.close()
+    return monitor
+
+
 class TestRetiredBackend:
     def test_journaled_sharded_spec_restores_and_audits(self, tmp_path):
         # Journal + snapshot as a daemon wrote them while "sharded" was a
         # backend: the spec keeps its name (its fingerprint gates the
         # snapshot) and the auditor runs it as "process".
         spec = MonitorSpec.from_dict({**SPEC, "backend": "sharded", "workers": 2})
-        workdir = tmp_path / "work"
-        workdir.mkdir()
-        monitor = MonitoredPopulation(
-            spec=spec, store=spec.build_store(), created_at=0.0
-        )
-        with JobJournal(workdir / "journal.jsonl") as journal:
-            journal.append({"type": "mpop_create", "ts": 0.0, "spec": spec.to_dict()})
-            for now, seed in ((1.0, 60), (2.0, 61)):
-                mutations = [
-                    m.to_dict()
-                    for m in random_mutation_mix(
-                        monitor.store, np.random.default_rng(seed), 10
-                    )
-                ]
-                info = monitor.apply_batch(mutations, now)
-                journal.append(monitor.batch_record(info, now))
-                point = monitor.run_audit(now)
-                journal.append(point)
-                monitor.series.append(MonitoredPopulation.series_point(point))
-                if seed == 60:
-                    write_snapshot(
-                        workdir / "snapshots" / "m1.json",
-                        spec.to_dict(),
-                        monitor.store,
-                        monitor.series,
-                    )
-        monitor.close()
+        monitor = journal_with_snapshot(tmp_path, spec)
         revived = make_service(tmp_path)
         try:
             restored = revived.monitor("m1")
@@ -354,6 +371,27 @@ class TestRetiredBackend:
             revived.apply_mutations("m1", mutation_batch(revived, "m1", 62, 5))
             wait_for_audits(revived, "m1", 3)
             assert restored.auditor.backend == "process"
+        finally:
+            revived.stop()
+
+    def test_journaled_numba_kernel_spec_restores_and_audits(self, tmp_path):
+        # The same for the retired "numba" kernel, which runs as "numpy".
+        spec = MonitorSpec.from_dict({**SPEC, "kernel": "numba"})
+        assert spec.kernel == "numba"
+        monitor = journal_with_snapshot(tmp_path, spec)
+        revived = make_service(tmp_path)
+        try:
+            restored = revived.monitor("m1")
+            with restored.lock:
+                assert restored.spec == spec
+                assert restored.snapshot_version == 10
+                assert restored.store.state_digest() == monitor.store.state_digest()
+            assert revived.monitor_series("m1") == monitor.series
+            counters = revived.metrics.as_dict()["counters"]
+            assert "service.snapshot_restore_rejected" not in counters
+            revived.apply_mutations("m1", mutation_batch(revived, "m1", 62, 5))
+            wait_for_audits(revived, "m1", 3)
+            assert restored.auditor.kernel == "numpy"
         finally:
             revived.stop()
 

@@ -35,7 +35,8 @@ from repro.service import (
     JobState,
     ServiceConfig,
 )
-from repro.service.jobs import TERMINAL_STATES, check_transition
+from repro.service.http import dispatch
+from repro.service.jobs import TERMINAL_STATES, JobRecord, check_transition
 from repro.service.monitor import MonitorSpec
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -148,6 +149,86 @@ class TestBackpressure:
         with pytest.raises(JobRejectedError) as excinfo:
             service.submit(_job("late"))
         assert excinfo.value.reason == "shutting_down"
+
+
+#: Specs the daemon cannot run: the engine would refuse them on every
+#: attempt, or (a priority the scheduler cannot order) the worker would die.
+UNRUNNABLE = [
+    {"metric": "nope"},
+    {"functions": ["nope"]},
+    {"scenario": "table3", "functions": ["f1"]},
+    {"functions": [["f"]]},
+    {"priority": "high"},
+]
+UNRUNNABLE_IDS = [
+    "unknown-metric",
+    "unknown-function",
+    "other-scenarios-function",
+    "unhashable-function",
+    "non-integer-priority",
+]
+
+
+class TestUnrunnableSpecs:
+    """Intake rejects a spec the daemon cannot run; a job journaled before
+    that check still replays and is quarantined."""
+
+    @pytest.mark.parametrize("fields", UNRUNNABLE, ids=UNRUNNABLE_IDS)
+    def test_post_v1_jobs_rejects_and_journals_nothing(self, service, fields):
+        body = json.dumps(_job("bad", **fields).to_dict()).encode()
+        status, payload = dispatch(service, "POST", "/v1/jobs", body)
+        assert (status, payload["error"]["code"]) == (400, "invalid_spec")
+        assert service.jobs_snapshot() == []
+        assert "bad" not in service.journal.replay()
+
+    def test_submit_many_reports_the_rejected_item(self, service):
+        specs = [_job("ok").to_dict()] + [
+            _job(f"bad{i}", **fields).to_dict() for i, fields in enumerate(UNRUNNABLE)
+        ]
+        results = service.submit_many(specs)
+        assert isinstance(results[0], JobRecord)
+        assert [r.reason for r in results[1:]] == ["invalid_spec"] * len(UNRUNNABLE)
+        assert service.drain(timeout=60)
+        assert [r["id"] for r in service.jobs_snapshot()] == ["ok"]
+
+    def test_non_object_specs_rejected(self, service):
+        for route in ("/v1/jobs", "/v1/populations"):
+            status, payload = dispatch(service, "POST", route, b"[1]")
+            assert (status, payload["error"]["code"]) == (400, "invalid_spec"), route
+        body = json.dumps({"jobs": [1, "x"]}).encode()
+        status, payload = dispatch(service, "POST", "/v1/jobs/batch", body)
+        assert status == 202
+        codes = [item["error"]["code"] for item in payload["results"]]
+        assert codes == ["invalid_spec", "invalid_spec"]
+
+    @pytest.mark.parametrize("fields", UNRUNNABLE[:2], ids=UNRUNNABLE_IDS[:2])
+    def test_journaled_job_replays_and_is_quarantined(self, tmp_path, fields):
+        with JobJournal(tmp_path / "journal.jsonl") as journal:
+            journal.append_submit(_job("old", **fields), timestamp=100.0)
+        with AuditService(ServiceConfig(tmp_path, workers=1, port=None)) as svc:
+            assert svc.drain(timeout=60)
+            record = svc.record("old")
+        assert record.state is JobState.QUARANTINED
+        assert record.reason.startswith("poison: failed 3 attempts")
+
+    def test_function_names_match_the_scenario_builders(self):
+        from repro.simulation.config import PaperConfig
+        from repro.simulation.scenarios import (
+            figure1_scenario,
+            function_names,
+            table1_scenario,
+            table2_scenario,
+            table3_scenario,
+        )
+
+        assert function_names("figure1") == tuple(figure1_scenario().functions)
+        small = PaperConfig(n_workers=40)
+        for name, builder in (
+            ("table1", table1_scenario),
+            ("table2", table2_scenario),
+            ("table3", table3_scenario),
+        ):
+            assert function_names(name) == tuple(builder(small).functions)
 
 
 class TestQuarantine:
@@ -271,34 +352,34 @@ class TestHTTPEndpoints:
 
     def test_healthz(self, http_service):
         _, base = http_service
-        status, body = self._get(base + "/healthz")
+        status, body = self._get(base + "/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
 
     def test_submit_accepted_and_job_listed(self, http_service):
         svc, base = http_service
-        status, body = self._post(base + "/submit", _job("h1").to_dict())
-        assert (status, body["accepted"]) == (202, "h1")
+        status, body = self._post(base + "/v1/jobs", _job("h1").to_dict())
+        assert (status, body["job"]["id"]) == (202, "h1")
         assert svc.drain(timeout=60)
-        _, listing = self._get(base + "/jobs")
+        _, listing = self._get(base + "/v1/jobs")
         assert [j["state"] for j in listing["jobs"]] == ["DONE"]
 
     def test_submit_rejections_map_to_status_codes(self, http_service):
         svc, base = http_service
-        self._post(base + "/submit", _job("h1").to_dict())
-        status, body = self._post(base + "/submit", _job("h1").to_dict())
-        assert (status, body["reason"]) == (409, "duplicate_id")
-        status, body = self._post(base + "/submit", {"id": "h2", "scenario": "no"})
-        assert (status, body["reason"]) == (400, "invalid_spec")
+        self._post(base + "/v1/jobs", _job("h1").to_dict())
+        status, body = self._post(base + "/v1/jobs", _job("h1").to_dict())
+        assert (status, body["error"]["code"]) == (409, "duplicate_id")
+        status, body = self._post(base + "/v1/jobs", {"id": "h2", "scenario": "no"})
+        assert (status, body["error"]["code"]) == (400, "invalid_spec")
         svc.request_shutdown()
-        status, body = self._post(base + "/submit", _job("h3").to_dict())
-        assert (status, body["reason"]) == (503, "shutting_down")
+        status, body = self._post(base + "/v1/jobs", _job("h3").to_dict())
+        assert (status, body["error"]["code"]) == (503, "shutting_down")
 
     def test_metrics_endpoint_serves_registry(self, http_service):
         svc, base = http_service
         svc.submit(_job("m1"))
         assert svc.drain(timeout=60)
-        status, body = self._get(base + "/metrics")
+        status, body = self._get(base + "/v1/metrics")
         assert status == 200
         assert body["counters"]["service.submitted"] == 1
         assert body["counters"]["service.completed"] == 1
@@ -306,7 +387,7 @@ class TestHTTPEndpoints:
     def test_unknown_path_404(self, http_service):
         _, base = http_service
         try:
-            with urllib.request.urlopen(base + "/nope", timeout=10) as response:
+            with urllib.request.urlopen(base + "/v1/nope", timeout=10) as response:
                 status = response.status
         except urllib.error.HTTPError as exc:
             status = exc.code
@@ -314,7 +395,7 @@ class TestHTTPEndpoints:
 
 
 class TestV1Api:
-    """The versioned surface: envelope errors, deprecation headers, parity."""
+    """The versioned surface: envelope errors, and nothing outside ``/v1``."""
 
     @pytest.fixture()
     def http_service(self, tmp_path):
@@ -349,21 +430,21 @@ class TestV1Api:
             assert status == 200
             assert "Deprecation" not in headers, path
 
-    def test_legacy_routes_are_deprecated_aliases(self, http_service):
-        _, base = http_service
-        for path in ("/healthz", "/metrics", "/jobs"):
-            status, _, headers = self._get(base + path)
-            assert status == 200
-            assert headers.get("Deprecation") == "true", path
-
-    def test_v1_and_legacy_serve_the_same_payloads(self, http_service):
+    def test_unversioned_paths_answer_404(self, http_service):
         svc, base = http_service
-        svc.submit(_job("parity"))
+        svc.submit(_job("j0"))
         assert svc.drain(timeout=60)
-        for path in ("/healthz", "/metrics", "/jobs"):
-            _, legacy, _ = self._get(base + path)
-            _, v1, _ = self._get(base + "/v1" + path)
-            assert legacy == v1, path
+        for path in (
+            "/healthz", "/metrics", "/jobs", "/jobs/j0", "/populations", "/v1",
+        ):
+            status, body, headers = self._get(base + path)
+            assert (status, body["error"]["code"]) == (404, "not_found"), path
+            assert "Deprecation" not in headers, path
+        for path in ("/submit", "/jobs", "/populations"):
+            status, body, headers = self._post(base + path, _job("late").to_dict())
+            assert (status, body["error"]["code"]) == (404, "not_found"), path
+            assert "Deprecation" not in headers, path
+        assert "late" not in {r["id"] for r in svc.jobs_snapshot()}
 
     def test_post_v1_jobs_returns_the_record(self, http_service):
         svc, base = http_service
@@ -382,9 +463,6 @@ class TestV1Api:
         assert status == 200
         assert body["job"]["state"] == "DONE"
         assert body["job"]["result"]["rows"]
-        # By-id lookup is v1-only: the legacy surface never had it.
-        status, body, _ = self._get(base + "/jobs/j2")
-        assert status == 404
 
     def test_v1_errors_use_the_shared_envelope(self, http_service):
         svc, base = http_service
@@ -402,15 +480,6 @@ class TestV1Api:
         svc.request_shutdown()
         status, body, _ = self._post(base + "/v1/jobs", _job("late").to_dict())
         assert (status, body["error"]["code"]) == (503, "shutting_down")
-
-    def test_legacy_error_shape_is_preserved(self, http_service):
-        _, base = http_service
-        self._post(base + "/submit", _job("dup").to_dict())
-        status, body, headers = self._post(base + "/submit", _job("dup").to_dict())
-        assert status == 409
-        assert body["reason"] == "duplicate_id"  # flat legacy shape
-        assert "error" in body and isinstance(body["error"], str)
-        assert headers.get("Deprecation") == "true"
 
     def test_malformed_json_body_is_invalid_spec(self, http_service):
         _, base = http_service
@@ -496,7 +565,8 @@ class TestJobSchemaV2:
             legacy = svc.record("legacy")
         assert legacy.state is JobState.DONE
         assert legacy.result["rows"]
-        assert MonitorSpec(id="m", kernel="numba").kernel == "numpy"
+        # A monitor spec keeps the name: its fingerprint gates the snapshot.
+        assert MonitorSpec(id="m", kernel="numba").kernel == "numba"
 
 
 class TestMitigateJobs:
@@ -573,14 +643,14 @@ def _start_daemon(workdir, extra=()):
 
 def _submit(base, payload):
     request = urllib.request.Request(
-        base + "/submit", data=json.dumps(payload).encode(), method="POST"
+        base + "/v1/jobs", data=json.dumps(payload).encode(), method="POST"
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return json.load(response)
 
 
 def _jobs(base):
-    with urllib.request.urlopen(base + "/jobs", timeout=30) as response:
+    with urllib.request.urlopen(base + "/v1/jobs", timeout=30) as response:
         return {j["id"]: j for j in json.load(response)["jobs"]}
 
 

@@ -314,8 +314,7 @@ class AsyncHTTPServer:
                 deadline = loop.time() + timeout if timeout is not None else None
                 try:
                     head = await asyncio.wait_for(
-                        reader.readuntil(b"\r\n\r\n"),
-                        None if deadline is None else timeout,
+                        reader.readuntil(b"\r\n\r\n"), timeout
                     )
                 except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
                     break  # EOF between requests, or an oversized head

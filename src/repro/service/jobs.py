@@ -268,9 +268,9 @@ class AuditJob:
         unknown = set(data) - fields
         if unknown:
             raise ServiceError(f"unknown AuditJob fields: {sorted(unknown)}")
-        if "functions" in data:
-            data["functions"] = tuple(data["functions"])
         try:
+            if "functions" in data:
+                data["functions"] = tuple(data["functions"])
             return cls(**data)
         except TypeError as exc:
             raise ServiceError(f"malformed AuditJob spec: {exc}") from exc

@@ -30,7 +30,7 @@ starve the scheduler loop.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from repro.exceptions import MutationError, ServiceError
@@ -43,7 +43,9 @@ __all__ = ["MonitorSpec", "MonitoredPopulation"]
 #: and ``kernel``, so such a spec keeps the old name (its snapshot still
 #: restores); only the auditor resolves it.  A new monitor may not name
 #: one: ``create_monitor`` admits only ``available_backends()`` and
-#: ``KERNEL_BACKENDS``.
+#: ``KERNEL_BACKENDS``.  Daemons that once rewrote ``"numba"`` inside the
+#: spec snapshotted it under ``"numpy"``; ``snapshot_fingerprints()``
+#: accepts both.
 RETIRED_BACKENDS = {"sharded": "process"}
 RETIRED_KERNELS = {"numba": "numpy"}
 
@@ -145,6 +147,12 @@ class MonitorSpec:
         from repro.service.snapshot import spec_fingerprint
 
         return spec_fingerprint(self.to_dict())
+
+    def snapshot_fingerprints(self) -> "set[str]":
+        """Fingerprints of the specs this monitor's snapshot may carry:
+        its own, and for a retired kernel the spec with it resolved."""
+        kernel = RETIRED_KERNELS.get(self.kernel, self.kernel)
+        return {self.fingerprint(), replace(self, kernel=kernel).fingerprint()}
 
     # ----------------------------------------------------------- construction
 

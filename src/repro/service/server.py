@@ -844,8 +844,9 @@ class AuditService:
                 f"unknown backend {spec.backend!r}; choose from "
                 f"{available_backends()}",
             )
-        if spec.workers is not None and spec.workers < 1:
-            self._reject("invalid_spec", f"workers must be >= 1, got {spec.workers}")
+        workers = spec.workers
+        if workers is not None and not (isinstance(workers, int) and workers >= 1):
+            self._reject("invalid_spec", f"workers must be an int >= 1: {workers!r}")
         if spec.kernel is not None and spec.kernel not in KERNEL_BACKENDS:
             self._reject(
                 "invalid_spec",
@@ -860,7 +861,8 @@ class AuditService:
             now = self._clock()
             try:
                 store = spec.build_store()
-            except ServiceError as exc:
+            except (ServiceError, TypeError) as exc:
+                # TypeError: a list as function, a float as n_workers.
                 self._reject("invalid_spec", str(exc))
             monitor = MonitoredPopulation(spec=spec, store=store, created_at=now)
             try:
@@ -1078,7 +1080,7 @@ class AuditService:
                             path,
                             spec.worker_schema(),
                             spec.hist_spec(),
-                            expected_fingerprint=spec.fingerprint(),
+                            accepted_fingerprints=spec.snapshot_fingerprints(),
                         )
                         snapshot_version = store.version
                     except SnapshotError:

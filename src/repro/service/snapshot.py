@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from repro.exceptions import SnapshotError
 from repro.io.atomic import atomic_write_text
@@ -113,26 +113,26 @@ def load_snapshot(
     path: "str | Path",
     worker_schema,
     hist_spec,
-    expected_fingerprint: "str | None" = None,
+    accepted_fingerprints: "Collection[str] | None" = None,
 ):
     """Restore ``(store, series, payload)`` from a snapshot file.
 
     The store's state digest is recomputed and compared against the stored
-    one — restore is all-or-nothing.  When ``expected_fingerprint`` is
-    given (the live monitor's spec), a snapshot taken under any other spec
-    is refused rather than silently mixed in.
+    one — restore is all-or-nothing.  When ``accepted_fingerprints`` is
+    given (the live monitor's, see ``MonitorSpec.snapshot_fingerprints``),
+    a snapshot taken under any other spec is refused rather than silently
+    mixed in.
     """
     from repro.marketplace.streaming import MutablePopulation
 
     payload = read_snapshot_payload(path)
     if (
-        expected_fingerprint is not None
-        and payload["fingerprint"] != expected_fingerprint
+        accepted_fingerprints is not None
+        and payload["fingerprint"] not in accepted_fingerprints
     ):
         raise SnapshotError(
             f"snapshot {path} was taken under a different monitor spec "
-            f"(fingerprint {payload['fingerprint'][:12]}… != "
-            f"expected {expected_fingerprint[:12]}…)"
+            f"(fingerprint {payload['fingerprint'][:12]}…)"
         )
     try:
         store = MutablePopulation.from_state_payload(

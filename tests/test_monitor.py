@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -145,16 +146,22 @@ class TestIntake:
         [
             {"backend": "bogus"},
             {"workers": 0},
+            {"workers": "x"},
             {"backend": "sharded"},
             {"kernel": "bogus"},
             {"kernel": "numba"},
+            {"function": ["f1"]},
+            {"n_workers": 50.5},
         ],
         ids=[
             "bogus-backend",
             "zero-workers",
+            "string-workers",
             "retired-backend",
             "bogus-kernel",
             "retired-kernel",
+            "list-function",
+            "float-n-workers",
         ],
     )
     def test_unrunnable_engine_spec_rejected(self, tmp_path, fields):
@@ -320,9 +327,12 @@ class TestJournaledEngineFields:
             revived.stop()
 
 
-def journal_with_snapshot(tmp_path, spec: MonitorSpec) -> MonitoredPopulation:
+def journal_with_snapshot(
+    tmp_path, spec: MonitorSpec, snapshot_spec: "MonitorSpec | None" = None
+) -> MonitoredPopulation:
     """Journal two audited mutation batches of ``spec`` and snapshot the
-    first, as a daemon running that spec wrote them; returns the monitor."""
+    first under ``snapshot_spec`` (default ``spec``), as a daemon running
+    that spec wrote them; returns the monitor."""
     workdir = tmp_path / "work"
     workdir.mkdir()
     monitor = MonitoredPopulation(spec=spec, store=spec.build_store(), created_at=0.0)
@@ -343,7 +353,7 @@ def journal_with_snapshot(tmp_path, spec: MonitorSpec) -> MonitoredPopulation:
             if seed == 60:
                 write_snapshot(
                     workdir / "snapshots" / "m1.json",
-                    spec.to_dict(),
+                    (snapshot_spec or spec).to_dict(),
                     monitor.store,
                     monitor.series,
                 )
@@ -374,11 +384,23 @@ class TestRetiredBackend:
         finally:
             revived.stop()
 
-    def test_journaled_numba_kernel_spec_restores_and_audits(self, tmp_path):
+    @pytest.mark.parametrize("snapshot_kernel", ["numba", "numpy"])
+    def test_journaled_numba_kernel_spec_restores_and_audits(
+        self, tmp_path, snapshot_kernel
+    ):
         # The same for the retired "numba" kernel, which runs as "numpy".
+        # Daemons that rewrote the spec's kernel wrote the snapshot under
+        # "numpy" while the journal kept "numba"; once compaction records
+        # the snapshot's version as the floor, only that snapshot holds the
+        # dropped batch, so it must restore.
         spec = MonitorSpec.from_dict({**SPEC, "kernel": "numba"})
         assert spec.kernel == "numba"
-        monitor = journal_with_snapshot(tmp_path, spec)
+        monitor = journal_with_snapshot(
+            tmp_path, spec, snapshot_spec=replace(spec, kernel=snapshot_kernel)
+        )
+        with JobJournal(tmp_path / "work" / "journal.jsonl") as journal:
+            journal.compact_to({"m1": 10})
+            assert journal.replay_state().monitors["m1"].floor == 10
         revived = make_service(tmp_path)
         try:
             restored = revived.monitor("m1")
@@ -434,7 +456,7 @@ class TestSnapshots:
                 path,
                 spec.worker_schema(),
                 spec.hist_spec(),
-                expected_fingerprint=spec.fingerprint(),
+                accepted_fingerprints={spec.fingerprint()},
             )
 
     def test_compact_snapshot_trims_series_only(self, tmp_path):

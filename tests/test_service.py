@@ -151,14 +151,17 @@ class TestBackpressure:
         assert excinfo.value.reason == "shutting_down"
 
 
-#: Specs the daemon cannot run: the engine would refuse them on every
-#: attempt, or (a priority the scheduler cannot order) the worker would die.
+#: Spec fields the daemon cannot run: the engine would refuse them on every
+#: attempt, or (a priority the scheduler cannot order, functions that are
+#: not a list) the worker or the request would die.
 UNRUNNABLE = [
     {"metric": "nope"},
     {"functions": ["nope"]},
     {"scenario": "table3", "functions": ["f1"]},
     {"functions": [["f"]]},
     {"priority": "high"},
+    {"functions": None},
+    {"functions": 5},
 ]
 UNRUNNABLE_IDS = [
     "unknown-metric",
@@ -166,7 +169,14 @@ UNRUNNABLE_IDS = [
     "other-scenarios-function",
     "unhashable-function",
     "non-integer-priority",
+    "null-functions",
+    "integer-functions",
 ]
+
+
+def _spec(job_id: str, **fields) -> dict:
+    """A job spec as a client posts it, ``fields`` set verbatim."""
+    return {**_job(job_id).to_dict(), **fields}
 
 
 class TestUnrunnableSpecs:
@@ -175,7 +185,7 @@ class TestUnrunnableSpecs:
 
     @pytest.mark.parametrize("fields", UNRUNNABLE, ids=UNRUNNABLE_IDS)
     def test_post_v1_jobs_rejects_and_journals_nothing(self, service, fields):
-        body = json.dumps(_job("bad", **fields).to_dict()).encode()
+        body = json.dumps(_spec("bad", **fields)).encode()
         status, payload = dispatch(service, "POST", "/v1/jobs", body)
         assert (status, payload["error"]["code"]) == (400, "invalid_spec")
         assert service.jobs_snapshot() == []
@@ -183,13 +193,16 @@ class TestUnrunnableSpecs:
 
     def test_submit_many_reports_the_rejected_item(self, service):
         specs = [_job("ok").to_dict()] + [
-            _job(f"bad{i}", **fields).to_dict() for i, fields in enumerate(UNRUNNABLE)
+            _spec(f"bad{i}", **fields) for i, fields in enumerate(UNRUNNABLE)
         ]
-        results = service.submit_many(specs)
+        results = service.submit_many(specs + [_job("ok2").to_dict()])
         assert isinstance(results[0], JobRecord)
-        assert [r.reason for r in results[1:]] == ["invalid_spec"] * len(UNRUNNABLE)
+        assert isinstance(results[-1], JobRecord)
+        assert [r.reason for r in results[1:-1]] == ["invalid_spec"] * len(UNRUNNABLE)
         assert service.drain(timeout=60)
-        assert [r["id"] for r in service.jobs_snapshot()] == ["ok"]
+        snapshot = service.jobs_snapshot()
+        assert sorted(r["id"] for r in snapshot) == ["ok", "ok2"]
+        assert {r["state"] for r in snapshot} == {"DONE"}
 
     def test_non_object_specs_rejected(self, service):
         for route in ("/v1/jobs", "/v1/populations"):

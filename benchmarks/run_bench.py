@@ -290,8 +290,9 @@ def _time_scaling_population(n_workers: int, repeats: int) -> dict:
             engine.reset_caches()
             start = time.perf_counter()
             if path == "atom":
-                scores_out = engine.score_attribute_splits(root, candidates)
-                assert scores_out is not None, "root must resolve to atom rows"
+                scored = engine.score_attribute_splits(root, candidates)
+                assert scored is not None, "root must resolve to atom rows"
+                scores_out = scored[0]
             else:
                 children_per_candidate = [
                     split_partitions(population, root, attribute)

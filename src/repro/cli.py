@@ -578,7 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="queue_workers",
         type=_positive_int,
         default=2,
-        help="worker threads draining the job queue",
+        help="worker threads draining the job queue (jobs in flight: their "
+        "journal I/O and memo hits overlap, but their searches run one at a "
+        "time; waiting for that does not count against a job's "
+        "deadline_seconds)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="HTTP bind host")
     serve.add_argument(

@@ -43,7 +43,7 @@ class BalancedAlgorithm(PartitioningAlgorithm):
         population, engine = context.population, context.engine
         tracer = context.tracer
         remaining = list(population.schema.protected_names)
-        root = Partition(population.all_indices())
+        root = context.engine.root_partition()
         if context.should_stop():
             return [root]
 
@@ -88,7 +88,7 @@ class RandomBalancedAlgorithm(PartitioningAlgorithm):
         population, engine, rng = context.population, context.engine, context.rng
         tracer = context.tracer
         remaining = list(population.schema.protected_names)
-        root = Partition(population.all_indices())
+        root = context.engine.root_partition()
         if context.should_stop():
             return [root]
 

@@ -31,7 +31,7 @@ class AllAttributesAlgorithm(PartitioningAlgorithm):
 
     def _search(self, context: SearchContext) -> list[Partition]:
         population = context.population
-        current = [Partition(population.all_indices())]
+        current = [context.engine.root_partition()]
         for level, attribute in enumerate(population.schema.protected_names):
             if context.should_stop():
                 break
@@ -53,7 +53,7 @@ class SingleAttributeAlgorithm(PartitioningAlgorithm):
 
     def _search(self, context: SearchContext) -> list[Partition]:
         population = context.population
-        root = Partition(population.all_indices())
+        root = context.engine.root_partition()
         if context.should_stop():
             return [root]
         with context.tracer.span("single-attribute.scan") as span:

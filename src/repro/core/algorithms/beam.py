@@ -25,7 +25,7 @@ backend.
 from __future__ import annotations
 
 from repro.core.algorithms.base import PartitioningAlgorithm, register_algorithm
-from repro.core.partition import Partition
+from repro.core.partition import Partition, content_key
 from repro.core.splitting import split_partitions
 from repro.engine.context import SearchContext
 
@@ -51,7 +51,7 @@ class BeamSearchAlgorithm(PartitioningAlgorithm):
 
     def _search(self, context: SearchContext) -> list[Partition]:
         population, engine = context.population, context.engine
-        root = Partition(population.all_indices())
+        root = context.engine.root_partition()
         all_attributes = tuple(population.schema.protected_names)
 
         # Beam entries: (score, partitions, remaining attributes).
@@ -69,11 +69,11 @@ class BeamSearchAlgorithm(PartitioningAlgorithm):
                 "beam.level", level=level, beam=len(beam)
             ) as span:
                 expansions: list[tuple[list[Partition], tuple[str, ...]]] = []
-                seen: set[frozenset[tuple[int, ...]]] = set()
+                seen: set[tuple] = set()
                 for __, partitions, remaining in beam:
                     for attribute in remaining:
                         children = split_partitions(population, partitions, attribute)
-                        key = frozenset(p.members_key() for p in children)
+                        key = content_key(children)
                         if key in seen:
                             continue
                         seen.add(key)

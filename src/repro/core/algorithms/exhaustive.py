@@ -11,7 +11,9 @@ split trees*, where every node independently either stays a leaf or splits on
 one attribute not used on its root path.  Splits that produce a single
 non-empty child are skipped (they change no member set).  Distinct trees can
 induce the same partitioning (e.g. fully splitting on a then b, or b then a),
-so candidates are deduplicated on their member sets before evaluation.
+so candidates are deduplicated on their member sets before evaluation
+(keyed on atom rows on the atom path, see
+:func:`~repro.core.partition.content_key`).
 
 Deduplicated candidates are scored in fixed-size batches through
 ``engine.score_many`` — the fan-out point the process backend parallelises —
@@ -33,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.algorithms.base import PartitioningAlgorithm, register_algorithm
-from repro.core.partition import Partition
+from repro.core.partition import Partition, content_key
 from repro.core.population import Population
 from repro.core.splitting import split_partition
 from repro.engine.context import SearchContext
@@ -66,20 +68,21 @@ class ExhaustiveAlgorithm(PartitioningAlgorithm):
 
     def _search(self, context: SearchContext) -> list[Partition]:
         population, engine = context.population, context.engine
-        root = Partition(population.all_indices())
+        root = context.engine.root_partition()
         attributes = tuple(population.schema.protected_names)
         best: list[Partition] | None = None
         best_score = -np.inf
-        seen: set[frozenset[tuple[int, ...]]] = set()
+        seen: set[tuple] = set()
         count = 0
         pending: list[list[Partition]] = []
-        for candidate in self._enumerate(population, root, attributes):
+        splits: "dict[tuple[Partition, str], list[Partition]]" = {}
+        for candidate in self._enumerate(population, root, attributes, splits):
             # Per-candidate deadline poll: a cutoff run scores exactly the
             # enumeration-order prefix an unbounded run scores first, so its
             # argmax is the prefix argmax (first-wins tie-breaks preserved).
             if context.should_stop():
                 break
-            key = frozenset(p.members_key() for p in candidate)
+            key = content_key(candidate)
             if key in seen:
                 continue
             seen.add(key)
@@ -121,30 +124,41 @@ class ExhaustiveAlgorithm(PartitioningAlgorithm):
         population: Population,
         partition: Partition,
         attributes: tuple[str, ...],
+        splits: "dict[tuple[Partition, str], list[Partition]]",
     ) -> Iterator[list[Partition]]:
         """All partitionings of one partition's members: keep it whole, or
-        split on any unused attribute and recurse independently per child."""
+        split on any unused attribute and recurse independently per child.
+
+        ``splits`` memoises each (partition, attribute) split for the whole
+        search: the Cartesian products re-enumerate the same partitions
+        many times, and re-splitting them would create a new Partition —
+        and a new cached histogram — on every visit.
+        """
         yield [partition]
         for i, attribute in enumerate(attributes):
-            children = split_partition(population, partition, attribute)
+            children = splits.get((partition, attribute))
+            if children is None:
+                children = split_partition(population, partition, attribute)
+                splits[(partition, attribute)] = children
             if len(children) < 2:
                 continue
             rest = attributes[:i] + attributes[i + 1 :]
-            yield from self._combine(population, children, rest)
+            yield from self._combine(population, children, rest, splits)
 
     def _combine(
         self,
         population: Population,
         children: Sequence[Partition],
         attributes: tuple[str, ...],
+        splits: "dict[tuple[Partition, str], list[Partition]]",
     ) -> Iterator[list[Partition]]:
         """Cartesian product of the sub-partitionings of each child, lazily."""
         if not children:
             yield []
             return
         first, rest = children[0], children[1:]
-        for head in self._enumerate(population, first, attributes):
-            for tail in self._combine(population, rest, attributes):
+        for head in self._enumerate(population, first, attributes, splits):
+            for tail in self._combine(population, rest, attributes, splits):
                 yield head + tail
 
 

@@ -23,10 +23,12 @@ distance over the union X ∪ S (DESIGN.md §2.4); pass ``cross_only=True`` to
 use only X-vs-S pairs instead (the stopping-condition ablation).
 
 This recursion is the engine's incremental objective's natural habitat: the
-siblings are fixed across the whole local decision, so one
-``engine.incremental(siblings)`` tracker scores the un-split partition *and*
-every candidate split by adding only the new children-vs-siblings block —
-the sibling-sibling pair sum is computed once and reused.  Scoring keep and
+siblings are fixed across the whole local decision, so one sibling tracker
+scores the un-split partition *and* every candidate split by adding only
+the new children-vs-siblings block — the sibling-sibling pair sum is
+computed once and reused.  The trackers of one split's children are sliced
+from a single pairwise matrix of those children
+(:class:`~repro.engine.incremental.SiblingFamily`).  Scoring keep and
 split through the same tracker also keeps degenerate comparisons (a split
 that changes no member set) exact ties, as in the reference evaluator.
 """
@@ -41,6 +43,7 @@ from repro.core.splitting import (
     worst_attribute_local,
 )
 from repro.engine.context import SearchContext
+from repro.engine.incremental import SiblingFamily
 
 __all__ = ["UnbalancedAlgorithm", "RandomUnbalancedAlgorithm"]
 
@@ -74,23 +77,31 @@ class _UnbalancedBase(PartitioningAlgorithm):
 
     def _search(self, context: SearchContext) -> list[Partition]:
         candidates = list(context.population.schema.protected_names)
-        root = Partition(context.population.all_indices())
+        root = context.engine.root_partition()
         if context.should_stop():
             return [root]
         attribute, first_level = self._initial_split(context, root, candidates)
         remaining = [a for a in candidates if a != attribute]
 
         output: list[Partition] = []
-        for partition in first_level:
-            siblings = [p for p in first_level if p is not partition]
-            self._recurse(context, partition, siblings, remaining, output)
+        family = self._family(context, first_level)
+        for index in range(len(first_level)):
+            self._recurse(context, first_level, index, family, remaining, output)
         return output
+
+    def _family(
+        self, context: SearchContext, partitions: list[Partition]
+    ) -> "SiblingFamily | None":
+        """Shared sibling trackers for one split's children (none under
+        ``cross_only``, which scores with cross averages instead)."""
+        return None if self.cross_only else SiblingFamily(context.engine, partitions)
 
     def _recurse(
         self,
         context: SearchContext,
-        current: Partition,
-        siblings: list[Partition],
+        family_members: list[Partition],
+        index: int,
+        family: "SiblingFamily | None",
         candidates: list[str],
         output: list[Partition],
     ) -> None:
@@ -98,9 +109,11 @@ class _UnbalancedBase(PartitioningAlgorithm):
         # still pending in the deterministic DFS order are emitted unsplit,
         # so the cutoff result is the processed prefix plus the untouched
         # remainder of the frontier.
+        current = family_members[index]
         if not candidates or context.should_stop():
             output.append(current)
             return
+        siblings = [p for j, p in enumerate(family_members) if j != index]
         with context.tracer.span(
             "unbalanced.node",
             depth=len(current.constraints),
@@ -108,12 +121,11 @@ class _UnbalancedBase(PartitioningAlgorithm):
             siblings=len(siblings),
             candidates=len(candidates),
         ) as span:
-            if self.cross_only:
+            if family is None:
                 tracker = None
                 current_avg = context.engine.cross_average([current], siblings)
             else:
-                tracker = context.engine.incremental(siblings)
-                current_avg = tracker.score_add([current])
+                tracker, current_avg = family.member(index)
             attribute, children, children_avg = self._choose_attribute(
                 context, current, siblings, candidates, tracker
             )
@@ -127,9 +139,11 @@ class _UnbalancedBase(PartitioningAlgorithm):
             output.append(current)
             return
         remaining = [a for a in candidates if a != attribute]
-        for child in children:
-            child_siblings = [p for p in children if p is not child]
-            self._recurse(context, child, child_siblings, remaining, output)
+        child_family = self._family(context, children)
+        for child_index in range(len(children)):
+            self._recurse(
+                context, children, child_index, child_family, remaining, output
+            )
 
 
 @register_algorithm

@@ -31,7 +31,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.core.partition import Partition
+from repro.core.partition import Partition, common_atom_table
 from repro.core.population import Population
 from repro.exceptions import PartitioningError
 
@@ -67,12 +67,16 @@ def split_partition(
     Returns the non-empty children, ordered by partition code.  Each child
     extends the parent's constraint path with ``(attribute, code)``.  A
     partition whose members all share one code yields a single child with
-    the same member set.
+    the same member set.  A partition carrying atom rows is split by
+    grouping those rows, and its children carry theirs.
     """
     if attribute in partition.constrained_attributes():
         raise PartitioningError(
             f"partition is already constrained on attribute {attribute!r}"
         )
+    table = partition.atom_table
+    if table is not None and attribute in table.attribute_names:
+        return _atom_children(table, [partition], attribute)
     codes = population.partition_codes(attribute)[partition.indices]
     children = []
     for code in np.unique(codes):
@@ -86,11 +90,45 @@ def split_partition(
 def split_partitions(
     population: Population, partitions: Sequence[Partition], attribute: str
 ) -> list[Partition]:
-    """Split every partition in a set on the same attribute (balanced step)."""
+    """Split every partition in a set on the same attribute (balanced step).
+
+    When every partition carries rows of one atom table, the whole set is
+    grouped in one sort; the children are the same either way.
+    """
+    table = common_atom_table(partitions)
+    if (
+        table is not None
+        and attribute in table.attribute_names
+        and not any(attribute in p.constrained_attributes() for p in partitions)
+    ):
+        return _atom_children(table, partitions, attribute)
     out: list[Partition] = []
     for partition in partitions:
         out.extend(split_partition(population, partition, attribute))
     return out
+
+
+def _atom_children(
+    table, partitions: Sequence[Partition], attribute: str
+) -> list[Partition]:
+    """Children of atom-carrying partitions, carrying their own rows."""
+    grouped = table.group_rows([p.atom_rows for p in partitions], attribute)
+    return grouped.children(
+        partitions,
+        attribute,
+        lambda rows, constraints, size: Partition.from_atoms(
+            table, rows, constraints, size
+        ),
+    )
+
+
+def _first_max(scores: Sequence[float]) -> int:
+    """Index of the first highest score (ties go to the earlier candidate)."""
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best]:
+            best = i
+    return best
 
 
 @dataclass(frozen=True)
@@ -128,16 +166,16 @@ def worst_attribute(
         raise PartitioningError("worst_attribute called with no candidate attributes")
     atom_scores = getattr(evaluator, "score_attribute_splits", None)
     if atom_scores is not None:
-        scores = atom_scores(partitions, candidates)
-        if scores is not None:
+        scored = atom_scores(partitions, candidates)
+        if scored is not None:
             # Atom path: every candidate was scored as a grouped aggregation
-            # over the atom table; only the winner's children are ever
-            # materialised as member arrays.
-            best_i = 0
-            for i in range(1, len(candidates)):
-                if scores[i] > scores[best_i]:
-                    best_i = i
-            children = split_partitions(population, partitions, candidates[best_i])
+            # over the atom table; the winner's children are built from the
+            # groups that scoring formed.
+            scores, groups = scored
+            best_i = _first_max(scores)
+            children = evaluator.children_from_groups(
+                partitions, candidates[best_i], groups[best_i]
+            )
             return AttributeChoice(candidates[best_i], children, scores[best_i])
     children_per_candidate = [
         split_partitions(population, partitions, attribute) for attribute in candidates
@@ -192,18 +230,20 @@ def worst_attribute_local(
     ):
         split_pmfs = getattr(evaluator, "split_pmfs", None)
         if split_pmfs is not None:
-            stacks = split_pmfs(partition, candidates)
-            if stacks is not None:
+            splits = split_pmfs(partition, candidates)
+            if splits is not None:
                 # Atom path: candidate children are scored straight from
-                # their histogram stacks; only the winner is materialised.
-                best_i, best_score = 0, None
-                for i, (pmfs, weights) in enumerate(stacks):
-                    score = incremental.score_add_pmfs(pmfs, weights)
-                    if best_score is None or score > best_score:
-                        best_i, best_score = i, score
-                children = split_partition(population, partition, candidates[best_i])
-                assert best_score is not None
-                return AttributeChoice(candidates[best_i], children, best_score)
+                # their histogram stacks, all in one tracker query; only the
+                # winner becomes partitions, with its histograms seeded.
+                scores = incremental.score_add_pmfs(
+                    [(pmfs, weights) for pmfs, weights, _ in splits]
+                )
+                best_i = _first_max(scores)
+                pmfs, _, grouped = splits[best_i]
+                children = evaluator.children_from_groups(
+                    [partition], candidates[best_i], grouped, pmfs
+                )
+                return AttributeChoice(candidates[best_i], children, scores[best_i])
     best: AttributeChoice | None = None
     for attribute in candidates:
         children = split_partition(population, partition, attribute)

@@ -25,10 +25,12 @@ are exact int64 arithmetic, so they equal ``bincount`` over the member
 rows, and the float64 pmfs obtained by dividing by the same integer size
 are the same IEEE values the legacy path produces.
 
-Correctness contract: a partition's ``constraints`` are trusted as the
-predicate defining its member set.  That invariant holds by construction
-for every partition the algorithms create (root + repeated
-``split_partition``).  Resolution cross-checks the conjunction's total
+The partitions the search forms never need resolving: the root carries
+every atom row, and every split groups its parent's rows
+(:meth:`AtomTable.group_rows`), so each child carries its own (see
+:meth:`~repro.core.partition.Partition.from_atoms`).  Any other partition
+is resolved from its ``constraints``, which are trusted as the predicate
+defining its member set; resolution cross-checks the conjunction's total
 atom size against ``partition.size`` and falls back to the member path on
 any mismatch, so hand-built partitions whose constraints do not describe
 their members degrade gracefully instead of mis-resolving.
@@ -44,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.partition import Partition
     from repro.core.population import Population
 
-__all__ = ["AtomTable", "protected_cards", "encode_codes", "decode_keys"]
+__all__ = ["AtomTable", "RowGroups", "protected_cards", "encode_codes", "decode_keys"]
 
 
 def protected_cards(schema) -> "tuple[tuple[str, ...], tuple[int, ...]]":
@@ -97,7 +99,15 @@ class AtomTable:
         ``(n,)`` int64 — atom row of every worker.
     """
 
-    __slots__ = ("attribute_names", "codes", "counts", "sizes", "worker_atom", "_attr_index")
+    __slots__ = (
+        "attribute_names",
+        "codes",
+        "counts",
+        "sizes",
+        "worker_atom",
+        "_attr_index",
+        "_radix",
+    )
 
     def __init__(
         self,
@@ -112,6 +122,12 @@ class AtomTable:
         self.sizes = counts.sum(axis=1)
         self.worker_atom = worker_atom
         self._attr_index = {name: j for j, name in enumerate(attribute_names)}
+        #: Per attribute, one more than its largest code: the radix that
+        #: keys (row set, code) pairs in :meth:`group_rows`.
+        self._radix = [
+            int(self.codes[:, j].max()) + 1 if self.codes.shape[0] else 1
+            for j in range(len(attribute_names))
+        ]
         for array in (self.codes, self.counts, self.sizes, self.worker_atom):
             array.setflags(write=False)
 
@@ -262,22 +278,116 @@ class AtomTable:
         equal to ``bincount`` over the matching member indices)."""
         return self.counts[rows].sum(axis=0)
 
-    def split_rows(self, rows: np.ndarray, attribute: str) -> list[np.ndarray]:
-        """Group ``rows`` by one attribute's code column.
+    def group_rows(self, row_sets: Sequence[np.ndarray], attribute: str) -> "RowGroups":
+        """Group every row set by one attribute's code column, in one
+        stable sort over all of them (see :class:`RowGroups`)."""
+        column = self.attribute_index(attribute)
+        radix = self._radix[column]
+        rows = np.concatenate(row_sets)
+        owner = np.repeat(
+            np.arange(len(row_sets), dtype=np.int64), [len(r) for r in row_sets]
+        )
+        rows, starts, owners, codes, sizes = self._sort_groups(
+            rows, owner * radix + self.codes[rows, column], radix
+        )
+        return RowGroups(owners.tolist(), codes, starts, rows, sizes)
 
-        Returns the non-empty groups ordered by ascending code — the exact
-        child order :func:`~repro.core.splitting.split_partition` produces —
-        so downstream histogram stacks match the member path row for row.
+    def group_each(
+        self, rows: np.ndarray, attributes: Sequence[str]
+    ) -> "tuple[list[RowGroups], np.ndarray, np.ndarray]":
+        """Group one row set by each attribute's code column, in one stable
+        sort over all of them.
+
+        Returns one :class:`RowGroups` per attribute, then the int64
+        histograms and sizes of all their groups, stacked in that order.
         """
-        column = self.codes[rows, self.attribute_index(attribute)]
-        order = np.argsort(column, kind="stable")
-        sorted_rows = rows[order]
-        sorted_codes = column[order]
-        boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-        return np.split(sorted_rows, boundaries)
+        columns = [self.attribute_index(name) for name in attributes]
+        radix = max(self._radix[column] for column in columns)
+        n = len(rows)
+        # One key per (attribute, row), attribute-major: attribute i's rows
+        # sort into positions [i * n, (i + 1) * n).
+        codes = self.codes[rows[np.newaxis, :], np.array(columns)[:, np.newaxis]]
+        offsets = radix * np.arange(len(columns), dtype=np.int64)[:, np.newaxis]
+        rows, starts, which, codes, sizes = self._sort_groups(
+            np.concatenate([rows] * len(columns)), (codes + offsets).ravel(), radix
+        )
+        counts = np.add.reduceat(self.counts[rows], starts, axis=0)
+        bounds = np.searchsorted(which, np.arange(len(columns) + 1)).tolist()
+        grouped = [
+            RowGroups(
+                [0] * (last - first),
+                codes[first:last],
+                starts[first:last] - i * n,
+                rows[i * n : (i + 1) * n],
+                sizes[first:last],
+            )
+            for i, (first, last) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        return grouped, counts, sizes
+
+    def _sort_groups(self, rows: np.ndarray, key: np.ndarray, radix: int):
+        """Stable sort of ``rows`` by ``key = outer * radix + code``.
+
+        Returns the sorted rows, each group's start, outer key (array),
+        code (list) and size.
+        """
+        order = np.argsort(key, kind="stable")
+        rows = rows[order]
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        outer, codes = np.divmod(key[starts], radix)
+        return rows, starts, outer, codes.tolist(), np.add.reduceat(self.sizes[rows], starts)
+
+    def group_histograms(self, grouped: "RowGroups") -> np.ndarray:
+        """Int64 score histogram of every group, one row per group — exact
+        sums, equal to :meth:`histogram` of each group."""
+        return np.add.reduceat(self.counts[grouped.rows], grouped.starts, axis=0)
 
     def __repr__(self) -> str:
         return (
             f"AtomTable(n_atoms={self.n_atoms}, bins={self.bins}, "
             f"attributes={list(self.attribute_names)})"
         )
+
+
+class RowGroups:
+    """Atom rows of one or more row sets, grouped by one attribute's code.
+
+    Group ``g`` is ``rows[starts[g]:starts[g + 1]]`` (the last one runs to
+    the end): the rows of row set ``owners[g]`` whose code is ``codes[g]``,
+    holding ``sizes[g]`` workers.  Groups are ordered by row set, then by
+    ascending code — the order :func:`~repro.core.splitting.split_partitions`
+    gives children — and each keeps its rows in input order, so ascending
+    row sets give ascending groups.
+    """
+
+    __slots__ = ("owners", "codes", "starts", "rows", "sizes")
+
+    def __init__(
+        self,
+        owners: "list[int]",
+        codes: "list[int]",
+        starts: np.ndarray,
+        rows: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        self.owners = owners
+        self.codes = codes
+        self.starts = starts
+        self.rows = rows
+        self.sizes = sizes
+
+    def groups(self) -> list[np.ndarray]:
+        """The groups' rows, as views of :attr:`rows`."""
+        bounds = self.starts.tolist() + [len(self.rows)]
+        return [self.rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def children(self, parents: Sequence["Partition"], attribute: str, make) -> list:
+        """One child per group: ``make(rows, constraints, size)``, where the
+        constraints extend the owning parent's with ``(attribute, code)``."""
+        return [
+            make(rows, parents[owner].constraints + ((attribute, code),), size)
+            for owner, code, rows, size in zip(
+                self.owners, self.codes, self.groups(), self.sizes.tolist()
+            )
+        ]

@@ -100,8 +100,9 @@ class ExecutionBackend(abc.ABC):
         """Objective value of every wire-format candidate, in input order.
 
         A task is a list of ``("a", atom_rows)`` / ``("m", member_indices)``
-        entries — the atom-path dispatch format, where candidates exist only
-        as histogram recipes, never as Partition objects.  The default runs
+        entries, or a ``(k, bins)`` int64 matrix of the candidate's
+        histograms — the atom-path dispatch formats, where candidates exist
+        only as histogram recipes, never as Partition objects.  The default runs
         in-process through the engine's cache-aware scoring path; the
         process backend overrides it to fan out across workers.
         """
@@ -200,10 +201,7 @@ def _score_wire_tasks(
 
     The single scoring routine shared by pool workers and the parent's
     sequential-degradation path, so every execution route yields
-    bit-identical values.  An ``("a", rows)`` entry is an int64 row-sum
-    over the atom count matrix; an ``("m", members)`` entry is the legacy
-    ``bincount`` over member indices — both divide the same integer counts
-    by the same integer size, so the pmfs match bit for bit.
+    bit-identical values (see :func:`task_pmfs` for the pmfs).
     """
     from repro.engine.kernels import DEFAULT_KERNEL, full_objective
 
@@ -214,23 +212,41 @@ def _score_wire_tasks(
         if len(entries) < 2:
             values.append(0.0)
             continue
-        pmfs = np.empty((len(entries), spec.bins), dtype=np.float64)
-        sizes: list[int] = []
-        for i, (kind, payload) in enumerate(entries):
-            if kind == "a":
-                counts = atom_counts[payload].sum(axis=0)
-                size = int(counts.sum())
-            else:
-                counts = spec.histogram_from_bin_indices(bin_idx[payload])
-                size = int(payload.shape[0])
-            pmfs[i] = counts / size
-            sizes.append(size)
+        pmfs, sizes = task_pmfs(spec, bin_idx, atom_counts, entries)
         weights = None
         if weighting == "size":
             weights = np.array(sizes, dtype=np.float64)
         value, _ = full_objective(metric, pmfs, spec, weights, kernel=kernel)
         values.append(value)
     return values
+
+
+def task_pmfs(
+    spec, bin_idx: np.ndarray, atom_counts: "np.ndarray | None", task
+) -> "tuple[np.ndarray, list[int]]":
+    """Pmf stack and sizes of one wire-format candidate.
+
+    A histogram-matrix task holds one row of int64 counts per partition.
+    An ``("a", rows)`` entry is an int64 row-sum over the atom count
+    matrix; an ``("m", members)`` entry is the legacy ``bincount`` over
+    member indices.  Every form divides the same integer counts by the
+    same integer size, so the pmfs match bit for bit.
+    """
+    if isinstance(task, np.ndarray):
+        counts = task.sum(axis=1)
+        return task / counts[:, np.newaxis], counts.tolist()
+    pmfs = np.empty((len(task), spec.bins), dtype=np.float64)
+    sizes: list[int] = []
+    for i, (kind, payload) in enumerate(task):
+        if kind == "a":
+            counts = atom_counts[payload].sum(axis=0)
+            size = int(counts.sum())
+        else:
+            counts = spec.histogram_from_bin_indices(bin_idx[payload])
+            size = int(payload.shape[0])
+        pmfs[i] = counts / size
+        sizes.append(size)
+    return pmfs, sizes
 
 
 def _score_chunk(state: dict, chunk: "list[list[tuple]]") -> list[float]:
@@ -402,7 +418,10 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> list[float]:
         if not tasks:
             return []
-        return self._score_wire_batch(engine, [list(task) for task in tasks])
+        return self._score_wire_batch(
+            engine,
+            [task if isinstance(task, np.ndarray) else list(task) for task in tasks],
+        )
 
     @staticmethod
     def _wire_entry(engine: "EvaluationEngine", partition: "Partition") -> tuple:

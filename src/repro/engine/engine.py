@@ -37,8 +37,8 @@ import numpy as np
 from repro.core.histogram import HistogramSpec
 from repro.core.partition import Partition, Partitioning
 from repro.core.population import Population
-from repro.engine.atoms import AtomTable
-from repro.engine.backends import ExecutionBackend, get_backend
+from repro.engine.atoms import AtomTable, RowGroups
+from repro.engine.backends import ExecutionBackend, get_backend, task_pmfs
 from repro.engine.incremental import FullRecomputeObjective, IncrementalObjective
 from repro.engine.kernels import (
     KERNEL_COUNTER_KEYS,
@@ -60,10 +60,6 @@ __all__ = ["EvaluationEngine", "EngineStats"]
 #: entry goes first), so a long run keeps its working set instead of
 #: periodically dropping everything.
 _CACHE_CAP = 50_000
-
-#: Sentinel distinguishing "not resolved yet" from a cached ``None``
-#: (fallback) in the per-partition atom-row cache.
-_UNRESOLVED = object()
 
 
 @dataclass
@@ -235,7 +231,6 @@ class EvaluationEngine:
         self._atom_table: "AtomTable | None" = None
         if atom_table is not None and self._use_atoms:
             self._atom_table = atom_table
-        self._atom_rows_cache: dict[Partition, object] = {}
         #: Monotone version of the atom-count binding.  The process backend
         #: keys its shared-memory publication on (engine id, atom_version),
         #: so a streaming engine that swaps in a new table (see
@@ -274,17 +269,58 @@ class EvaluationEngine:
     def atom_rows(self, partition: Partition) -> "np.ndarray | None":
         """Atom rows of one partition, or None when the member path must be
         used (atoms disabled, or the partition's constraints do not account
-        for its members).  Resolution is cached per Partition object."""
+        for its members).  Rows the partition carries for this engine's
+        table are returned as they are; any other partition is resolved
+        from its constraints once and then carries the result."""
         if not self._use_atoms:
             return None
-        rows = self._atom_rows_cache.get(partition, _UNRESOLVED)
-        if rows is _UNRESOLVED:
-            rows = self.atom_table.resolve(partition)
-            self._atom_rows_cache[partition] = rows
-            self.metrics.inc(
-                "engine.atom_hits" if rows is not None else "engine.atom_fallbacks"
-            )
+        table = self.atom_table
+        if partition.atom_table is table:
+            return partition.atom_rows
+        rows = table.resolve(partition)
+        self.metrics.inc(
+            "engine.atom_hits" if rows is not None else "engine.atom_fallbacks"
+        )
+        if rows is not None:
+            partition.atom_table, partition.atom_rows = table, rows
         return rows
+
+    def root_partition(self) -> Partition:
+        """The whole population as one partition — carrying every atom row
+        on the atom path, so its descendants never resolve constraints."""
+        if not self._use_atoms:
+            return Partition(self.population.all_indices())
+        rows = np.arange(self.atom_table.n_atoms, dtype=np.int64)
+        return self.partition_from_rows(rows, ())
+
+    def partition_from_rows(
+        self,
+        rows: np.ndarray,
+        constraints: "tuple[tuple[str, int], ...]",
+        size: "int | None" = None,
+    ) -> Partition:
+        """The partition made of atom ``rows`` (ascending) of this engine's
+        table, holding ``size`` workers; its member indices are built only
+        if something reads them."""
+        return Partition.from_atoms(self.atom_table, rows, constraints, size)
+
+    def children_from_groups(
+        self,
+        partitions: Sequence[Partition],
+        attribute: str,
+        grouped: RowGroups,
+        pmfs: "np.ndarray | None" = None,
+    ) -> list[Partition]:
+        """The children of splitting every partition on ``attribute``, from
+        the atom-row groups :meth:`score_attribute_splits` or
+        :meth:`split_pmfs` already formed.  Order, constraints and sizes
+        are those ``split_partitions`` gives.  ``pmfs``, one row per child,
+        seeds the histogram cache with values already computed."""
+        children = grouped.children(partitions, attribute, self.partition_from_rows)
+        if pmfs is not None:
+            for child, pmf in zip(children, pmfs):
+                self._pmf_cache[child] = pmf
+        return children
 
     # ----------------------------------------------------------- histograms
 
@@ -484,11 +520,12 @@ class EvaluationEngine:
     def score_rows_many(self, tasks: "Sequence[list]") -> list[float]:
         """Objective of every wire-format candidate, via the backend.
 
-        Each task is a list of ``("a", atom_rows)`` / ``("m", member_idx)``
-        entries — one per partition of the candidate.  This is the atom-path
-        sibling of :meth:`score_many`: candidates ship as atom-id lists, so
-        a process-pool dispatch is O(atoms) per partition instead of
-        O(members).
+        Each task is either a list of ``("a", atom_rows)`` /
+        ``("m", member_idx)`` entries — one per partition of the candidate —
+        or a ``(k, bins)`` int64 matrix holding the histograms of its ``k``
+        partitions.  This is the atom-path sibling of :meth:`score_many`:
+        candidates ship as atom-id lists or histograms, so a process-pool
+        dispatch is O(atoms) per partition instead of O(members).
         """
         tasks = list(tasks)
         if not self._trace:
@@ -509,20 +546,10 @@ class EvaluationEngine:
         cache keys, hits and counter increments on either path."""
         return [self._score_pmf_stack(*self._task_pmfs(task)) for task in tasks]
 
-    def _task_pmfs(self, task: "Sequence[tuple]") -> "tuple[np.ndarray, list[int]]":
+    def _task_pmfs(self, task) -> "tuple[np.ndarray, list[int]]":
         """Materialise one wire-format candidate as (pmf stack, sizes)."""
-        pmfs = np.empty((len(task), self.spec.bins), dtype=np.float64)
-        sizes: list[int] = []
-        for i, (kind, payload) in enumerate(task):
-            if kind == "a":
-                counts = self.atom_table.histogram(payload)
-                size = int(self.atom_table.sizes[payload].sum())
-            else:
-                counts = self.spec.histogram_from_bin_indices(self._bin_idx[payload])
-                size = int(payload.shape[0])
-            pmfs[i] = counts / size
-            sizes.append(size)
-        return pmfs, sizes
+        counts = self.atom_table.counts if self._use_atoms else None
+        return task_pmfs(self.spec, self._bin_idx, counts, task)
 
     def _score_pmf_stack(self, pmfs: np.ndarray, sizes: "list[int]") -> float:
         """Cache-aware objective of one pmf stack; mirrors :meth:`_unfairness`
@@ -570,15 +597,17 @@ class EvaluationEngine:
 
     def score_attribute_splits(
         self, partitions: Sequence[Partition], candidates: Sequence[str]
-    ) -> "list[float] | None":
+    ) -> "tuple[list[float], list[RowGroups]] | None":
         """Score every candidate attribute of a balanced greedy step as one
         grouped aggregation over the atom table.
 
-        For each candidate attribute, every partition's atom rows are grouped
-        by that attribute's code column (the exact children
-        ``split_partitions`` would build, without materialising a single
-        member array) and the resulting candidate is scored through
-        :meth:`score_rows_many`.  Returns None when the atom path cannot
+        For each candidate attribute, the atom rows of every partition are
+        grouped by that attribute's code column in one sort (the exact
+        children ``split_partitions`` would build, without materialising a
+        single member array) and the candidate's histograms are scored
+        through :meth:`score_rows_many`.  Returns ``(scores, groups)`` with
+        each candidate's :class:`~repro.engine.atoms.RowGroups` (see
+        :meth:`children_from_groups`), or None when the atom path cannot
         serve the query — atoms disabled, a partition unresolvable, an
         attribute unknown or already constrained — in which case the caller
         must use the legacy split-then-score path (preserving its error
@@ -595,58 +624,54 @@ class EvaluationEngine:
             rows_per_partition.append(rows)
         table = self.atom_table
         constrained = [set(p.constrained_attributes()) for p in partitions]
-        tasks: list[list] = []
+        groups: list[RowGroups] = []
         try:
             for attribute in candidates:
                 if any(attribute in used for used in constrained):
                     return None
-                tasks.append(
-                    [
-                        ("a", group)
-                        for rows in rows_per_partition
-                        for group in table.split_rows(rows, attribute)
-                    ]
-                )
+                groups.append(table.group_rows(rows_per_partition, attribute))
         except KeyError:
             return None
-        return self.score_rows_many(tasks)
+        tasks = [table.group_histograms(grouped) for grouped in groups]
+        return self.score_rows_many(tasks), groups
 
     def split_pmfs(
         self, partition: Partition, candidates: Sequence[str]
-    ) -> "list[tuple[np.ndarray, np.ndarray | None]] | None":
-        """Per-candidate ``(child pmfs, child weights)`` stacks of one
-        partition's single-attribute splits, from the atom table.
+    ) -> "list[tuple[np.ndarray, np.ndarray | None, RowGroups]] | None":
+        """Per-candidate ``(child pmfs, child weights, child row groups)`` of
+        one partition's single-attribute splits, from the atom table.
 
         The stacks are bit-identical to what ``split_partition`` +
         :meth:`pmf_matrix` / :meth:`partition_weights` would produce (same
         integer counts divided by the same integer sizes, children in
         ascending code order), so an
         :meth:`IncrementalObjective.score_add_pmfs` query over them matches
-        the member path exactly.  Returns None when the atom path cannot
-        serve the query (see :meth:`score_attribute_splits`).
+        the member path exactly.  The pmf stacks are read-only, so
+        :meth:`children_from_groups` can seed the winner's histograms from
+        them.  Returns None when the atom path cannot serve the query (see
+        :meth:`score_attribute_splits`).
         """
         if not self._use_atoms:
             return None
         rows = self.atom_rows(partition)
         if rows is None:
             return None
-        table = self.atom_table
-        constrained = set(partition.constrained_attributes())
-        out: "list[tuple[np.ndarray, np.ndarray | None]]" = []
+        if set(candidates) & set(partition.constrained_attributes()):
+            return None
         try:
-            for attribute in candidates:
-                if attribute in constrained:
-                    return None
-                groups = table.split_rows(rows, attribute)
-                pmfs = np.empty((len(groups), self.spec.bins), dtype=np.float64)
-                sizes = np.empty(len(groups), dtype=np.float64)
-                for i, group in enumerate(groups):
-                    size = int(table.sizes[group].sum())
-                    pmfs[i] = table.histogram(group) / size
-                    sizes[i] = size
-                out.append((pmfs, sizes if self.weighting == "size" else None))
+            grouped_each, counts, sizes = self.atom_table.group_each(rows, candidates)
         except KeyError:
             return None
+        pmfs = counts / sizes[:, np.newaxis]
+        pmfs.setflags(write=False)
+        sized = self.weighting == "size"
+        out: "list[tuple[np.ndarray, np.ndarray | None, RowGroups]]" = []
+        start = 0
+        for grouped in grouped_each:
+            stop = start + len(grouped.codes)
+            weights = sizes[start:stop].astype(np.float64) if sized else None
+            out.append((pmfs[start:stop], weights, grouped))
+            start = stop
         return out
 
     def incremental(

@@ -19,7 +19,9 @@ through both and require agreement to 1e-12):
 
 The ``unbalanced`` algorithm is the main in-tree consumer: scoring one
 partition's candidate children against its siblings reuses the cached
-sibling-sibling pair sum for every candidate attribute.
+sibling-sibling pair sum for every candidate attribute, and
+:class:`SiblingFamily` computes one pairwise matrix per split and slices
+every child's tracker from it.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.partition import Partition
+from repro.engine.kernels import has_vectorized_kernel
 from repro.exceptions import PartitioningError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import EvaluationEngine
 
-__all__ = ["IncrementalObjective", "FullRecomputeObjective"]
+__all__ = ["IncrementalObjective", "FullRecomputeObjective", "SiblingFamily"]
 
 
 class IncrementalObjective:
@@ -51,6 +54,28 @@ class IncrementalObjective:
         self._pmfs = engine.pmf_matrix(self.partitions)
         self._weights = engine.partition_weights(self.partitions)
         self._matrix = engine.materialize_pairwise(self._pmfs)
+        self._frontier_sum: "float | None" = None
+
+    @classmethod
+    def from_matrix(
+        cls,
+        engine: "EvaluationEngine",
+        partitions: Sequence[Partition],
+        pmfs: np.ndarray,
+        weights: "np.ndarray | None",
+        matrix: np.ndarray,
+    ) -> "IncrementalObjective":
+        """A tracker over ``partitions`` whose pmf stack, weights and
+        pairwise matrix were already computed (see :class:`SiblingFamily`);
+        they must equal what the constructor would compute, bit for bit."""
+        tracker = cls.__new__(cls)
+        tracker.engine = engine
+        tracker.partitions = list(partitions)
+        tracker._pmfs = pmfs
+        tracker._weights = weights
+        tracker._matrix = matrix
+        tracker._frontier_sum = None
+        return tracker
 
     # ------------------------------------------------------------ inspection
 
@@ -91,59 +116,74 @@ class IncrementalObjective:
         return self.score_replace((), added)
 
     def score_add_pmfs(
-        self, added_pmfs: np.ndarray, added_weights: "np.ndarray | None" = None
-    ) -> float:
-        """Objective of ``frontier ∪ added`` from precomputed pmfs.
+        self, candidates: "Sequence[tuple[np.ndarray, np.ndarray | None]]"
+    ) -> list[float]:
+        """Objective of ``frontier ∪ added`` for every candidate, from
+        precomputed ``(pmfs, weights)`` stacks.
 
         The atom path (``EvaluationEngine.split_pmfs``) produces candidate
         children as histogram stacks without ever materialising Partition
         objects; this scores them through the exact arithmetic of
         ``score_replace((), added)`` — same cross/within blocks, same pair
-        accounting — so the two entry points agree bit for bit.
-        ``added_weights`` must be the added sizes under size weighting and
-        None under uniform weighting, mirroring ``partition_weights``.
+        accounting — so the two entry points agree bit for bit.  Each
+        ``weights`` must be the added sizes under size weighting and None
+        under uniform weighting, mirroring ``partition_weights``.  With a
+        vectorized kernel, all candidates share one cross call and one
+        pairwise call over their stacked children.
         """
         engine = self.engine
         if not engine.trace_enabled:
-            return self._score_add_pmfs_inner(added_pmfs, added_weights)
+            return self._score_add_pmfs_inner(candidates)
         with engine.tracer.span(
             "engine.incremental.replace",
             k=self.k,
             removed=0,
-            added=int(added_pmfs.shape[0]),
+            added=sum(int(pmfs.shape[0]) for pmfs, _ in candidates),
+            candidates=len(candidates),
         ) as span:
-            value = self._score_add_pmfs_inner(added_pmfs, added_weights)
-            span.set(value=value)
+            values = self._score_add_pmfs_inner(candidates)
+            span.set(value=max(values, default=0.0))
         engine.metrics.observe("engine.incremental_seconds", span.duration_seconds)
-        return value
+        return values
 
     def _score_add_pmfs_inner(
-        self, added_pmfs: np.ndarray, added_weights: "np.ndarray | None"
-    ) -> float:
-        kept_idx = np.arange(self.k, dtype=np.int64)
-        n_added = int(added_pmfs.shape[0])
-        cross = self.engine.materialize_cross(added_pmfs, self._pmfs[kept_idx])
-        within = self.engine.materialize_pairwise(added_pmfs)
-        k_new = self.k + n_added
-        self.engine.record_incremental_evaluation(
-            k_new,
-            new_pairs=n_added * self.k + n_added * (n_added - 1) // 2,
-        )
-        if self._weights is None:
-            total = (
-                self._pair_sum_over(kept_idx)
-                + float(cross.sum())
-                + 0.5 * float(within.sum())
-            )
-            return self._value(total, k_new, None)
-        kept_w = self._weights[kept_idx]
-        total = (
-            self._pair_sum_over(kept_idx)
-            + float(added_weights @ cross @ kept_w)
-            + 0.5 * float(added_weights @ within @ added_weights)
-        )
-        weights = np.concatenate([kept_w, added_weights])
-        return self._value(total, k_new, weights)
+        self, candidates: "Sequence[tuple[np.ndarray, np.ndarray | None]]"
+    ) -> list[float]:
+        engine = self.engine
+        kept_sum = self._frontier_pair_sum()
+        kept_w = None if self._weights is None else self._weights.copy()
+        if len(candidates) < 2 or not has_vectorized_kernel(engine.metric):
+            # Per-candidate blocks: a loop-fallback metric (an LP per pair
+            # for emd-t) would pay for every cross-candidate pair, and can
+            # differ in the last bit when a pair is taken in the other
+            # direction.
+            return [
+                self._added_value(
+                    kept_sum,
+                    kept_w,
+                    engine.materialize_cross(pmfs, self._pmfs),
+                    engine.materialize_pairwise(pmfs),
+                    weights,
+                )
+                for pmfs, weights in candidates
+            ]
+        stacked = np.vstack([pmfs for pmfs, _ in candidates])
+        cross_all = engine.materialize_cross(stacked, self._pmfs)
+        within_all = engine.materialize_pairwise(stacked)
+        values = []
+        start = 0
+        for pmfs, weights in candidates:
+            stop = start + int(pmfs.shape[0])
+            # The fused kernels are exactly symmetric, so the stacked blocks
+            # hold the per-candidate distances; taking each block as a
+            # contiguous array of its old shape keeps every sum bit-identical.
+            cross = cross_all[start:stop]
+            if weights is not None:
+                cross = cross.copy()
+            within = within_all[start:stop, start:stop].copy()
+            values.append(self._added_value(kept_sum, kept_w, cross, within, weights))
+            start = stop
+        return values
 
     def score_replace(
         self, removed: Sequence[int], added: Sequence[Partition]
@@ -177,6 +217,7 @@ class IncrementalObjective:
         matrix[:n_kept, n_kept:] = cross.T
         matrix[n_kept:, n_kept:] = within
         self._matrix = matrix
+        self._frontier_sum = None
         kept_partitions = [self.partitions[i] for i in kept_idx]
         self.partitions = kept_partitions + list(added)
         self._pmfs = (
@@ -211,6 +252,7 @@ class IncrementalObjective:
         if self._weights is not None and weight is None:
             raise PartitioningError("size weighting requires the updated weight")
         self._pmfs[index] = pmf
+        self._frontier_sum = None
         cross = self.engine.materialize_cross(
             pmf[np.newaxis, :], self._pmfs
         ).ravel()
@@ -258,31 +300,46 @@ class IncrementalObjective:
 
         cross = self.engine.materialize_cross(added_pmfs, self._pmfs[kept_idx])
         within = self.engine.materialize_pairwise(added_pmfs)
-
-        k_new = kept_idx.shape[0] + len(added)
-        self.engine.record_incremental_evaluation(
-            k_new,
-            new_pairs=len(added) * kept_idx.shape[0]
-            + len(added) * (len(added) - 1) // 2,
-        )
-
-        if self._weights is None:
-            total = (
-                self._pair_sum_over(kept_idx)
-                + float(cross.sum())
-                + 0.5 * float(within.sum())
-            )
-            value = self._value(total, k_new, None)
+        if removed_set:
+            kept_sum = self._pair_sum_over(kept_idx)
         else:
-            kept_w = self._weights[kept_idx]
-            total = (
-                self._pair_sum_over(kept_idx)
-                + float(added_weights @ cross @ kept_w)
-                + 0.5 * float(added_weights @ within @ added_weights)
-            )
-            weights = np.concatenate([kept_w, added_weights])
-            value = self._value(total, k_new, weights)
+            kept_sum = self._frontier_pair_sum()
+        kept_w = None if self._weights is None else self._weights[kept_idx]
+        value = self._added_value(kept_sum, kept_w, cross, within, added_weights)
         return value, (kept_idx, added_pmfs, added_weights, cross, within)
+
+    def _added_value(
+        self,
+        kept_sum: float,
+        kept_w: "np.ndarray | None",
+        cross: np.ndarray,
+        within: np.ndarray,
+        added_weights: "np.ndarray | None",
+    ) -> float:
+        """Objective of the kept partitions plus added ones, from the kept
+        pair sum and the added-vs-kept / added-vs-added blocks; accounts
+        one incremental evaluation."""
+        n_added, n_kept = cross.shape
+        k_new = n_kept + n_added
+        self.engine.record_incremental_evaluation(
+            k_new, new_pairs=n_added * n_kept + n_added * (n_added - 1) // 2
+        )
+        if kept_w is None:
+            total = kept_sum + float(cross.sum()) + 0.5 * float(within.sum())
+            return self._value(total, k_new, None)
+        total = (
+            kept_sum
+            + float(added_weights @ cross @ kept_w)
+            + 0.5 * float(added_weights @ within @ added_weights)
+        )
+        return self._value(total, k_new, np.concatenate([kept_w, added_weights]))
+
+    def _frontier_pair_sum(self) -> float:
+        """``_pair_sum_over`` the whole frontier, cached until the next
+        commit — every add-only what-if starts from it."""
+        if self._frontier_sum is None:
+            self._frontier_sum = self._pair_sum_over(np.arange(self.k, dtype=np.int64))
+        return self._frontier_sum
 
     def _pair_sum(self) -> float:
         if self._weights is None:
@@ -290,7 +347,7 @@ class IncrementalObjective:
         return 0.5 * float(self._weights @ self._matrix @ self._weights)
 
     def _pair_sum_over(self, idx: np.ndarray) -> float:
-        sub = self._matrix[np.ix_(idx, idx)]
+        sub = self._matrix.take(idx, axis=0).take(idx, axis=1)
         if self._weights is None:
             return 0.5 * float(sub.sum())
         w = self._weights[idx]
@@ -304,6 +361,65 @@ class IncrementalObjective:
             return total / (k * (k - 1) / 2)
         weight_pairs = (weights.sum() ** 2 - float(weights @ weights)) / 2.0
         return total / weight_pairs if weight_pairs > 0 else 0.0
+
+
+class SiblingFamily:
+    """The children of one split, sharing one pairwise matrix.
+
+    Algorithm 2 scores every child against the other children, its
+    siblings.  Instead of each child seeding its own tracker, the family
+    computes the children's pairwise matrix once and slices each child's
+    sibling tracker, and the child's keep score, from it.  The slices equal
+    ``engine.incremental(siblings)`` and its ``score_add([child])`` bit for
+    bit because the fused kernels give d(a, b) == d(b, a) exactly, so a row
+    of the family matrix is the child-vs-siblings cross block.  Under
+    ``mode="full"`` or a metric without a vectorized kernel (whose
+    per-pair direction can change the last bit), :meth:`member` takes
+    that per-child path instead.
+    """
+
+    def __init__(self, engine: "EvaluationEngine", partitions: Sequence[Partition]) -> None:
+        self.engine = engine
+        self.partitions = list(partitions)
+        self._shared = engine.mode != "full" and has_vectorized_kernel(engine.metric)
+        self._matrix: "np.ndarray | None" = None
+
+    def member(
+        self, index: int
+    ) -> "tuple[IncrementalObjective | FullRecomputeObjective, float]":
+        """A tracker seeded with every partition but ``index``, and the
+        objective of adding partition ``index`` to it — one incremental
+        evaluation, as ``tracker.score_add([partition])`` accounts it."""
+        if not self._shared:
+            siblings = [p for j, p in enumerate(self.partitions) if j != index]
+            tracker = self.engine.incremental(siblings)
+            return tracker, tracker.score_add([self.partitions[index]])
+        if self._matrix is None:
+            # Computed on first use: a family whose members are all emitted
+            # unsplit (no attributes left, or the deadline passed) never
+            # pays for it.
+            self._pmfs = self.engine.pmf_matrix(self.partitions)
+            self._weights = self.engine.partition_weights(self.partitions)
+            self._matrix = self.engine.materialize_pairwise(self._pmfs)
+        others = np.array(
+            [j for j in range(len(self.partitions)) if j != index], dtype=np.int64
+        )
+        weights = None if self._weights is None else self._weights[others]
+        tracker = IncrementalObjective.from_matrix(
+            self.engine,
+            [self.partitions[j] for j in others],
+            self._pmfs[others],
+            weights,
+            self._matrix.take(others, axis=0).take(others, axis=1),
+        )
+        value = tracker._added_value(
+            tracker._frontier_pair_sum(),
+            None if weights is None else weights.copy(),
+            self._matrix[index : index + 1].take(others, axis=1),
+            np.zeros((1, 1), dtype=np.float64),
+            None if self._weights is None else self._weights[[index]],
+        )
+        return tracker, value
 
 
 class FullRecomputeObjective:

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.attributes import CategoricalAttribute
+from repro.core.partition import Partition
 from repro.core.population import Population
 from repro.engine.atoms import AtomTable, encode_codes, protected_cards
 from repro.engine.engine import EngineStats, EvaluationEngine
@@ -54,7 +55,6 @@ from repro.exceptions import MutationError, PartitioningError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily: marketplace.streaming pulls in the io/simulation
     # stack, which would close an import cycle back to core.algorithms.
-    from repro.core.partition import Partition
     from repro.marketplace.streaming import AppliedMutation, MutablePopulation
 
 __all__ = [
@@ -235,6 +235,12 @@ class StreamingEngine(EvaluationEngine):
         """In the proxy, a partition's member indices are its atom rows."""
         return partition.indices
 
+    def partition_from_rows(self, rows, constraints, size=None) -> "Partition":
+        """A proxy partition: its member indices *are* the atom rows, so
+        the search's children stay partitions of the proxy population (and
+        its size is its atom count, not the true ``size``)."""
+        return Partition(rows, constraints)
+
     def true_size(self, partition: "Partition") -> int:
         """True member count of a proxy partition (sum of its atoms' sizes)."""
         return int(self._atom_table.sizes[partition.indices].sum())
@@ -287,7 +293,6 @@ class StreamingEngine(EvaluationEngine):
             self._atom_table = table
             self.atom_version += 1
         self._pmf_cache.clear()
-        self._atom_rows_cache.clear()
         self.stats = EngineStats(
             backend=self.backend.name, workers=self.backend.workers, kernel=self.kernel
         )

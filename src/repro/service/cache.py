@@ -404,11 +404,8 @@ class CachingEngineFactory:
 
 def _result_nbytes(result) -> int:
     """Byte estimate of a stored :class:`AlgorithmResult` (the partition
-    index arrays dominate at scale)."""
-    total = 2048
-    for partition in result.partitioning:
-        total += int(partition.indices.nbytes)
-    return total
+    index arrays dominate at scale); builds no member array."""
+    return 2048 + sum(partition.nbytes() for partition in result.partitioning)
 
 
 def cached_audit(cache: CrossJobCache, algorithm: str, population, scores, **kwargs):

@@ -24,7 +24,9 @@ Robustness properties, each backed by a test in ``tests/test_service.py``:
 * **Deadlines** — a per-job compute budget propagates as a cooperative
   :class:`~repro.engine.deadline.Deadline` into every algorithm's search
   loop; an over-budget job stops at the next iteration boundary and lands
-  in ``CANCELLED`` with its flagged partial rows attached.
+  in ``CANCELLED`` with its flagged partial rows attached.  The budget
+  starts when the job's search does: waiting in the queue or for the
+  search lane (one job search at a time) does not consume it.
 * **Graceful shutdown** — SIGTERM/SIGINT stop intake (rejections say
   ``shutting_down``), let in-flight jobs finish, leave queued jobs
   ``PENDING`` in the journal and exit 0.
@@ -57,6 +59,7 @@ See ``docs/api.md`` and ``docs/service.md``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -279,7 +282,10 @@ class AuditService:
     Thread model: ``submit`` may be called from any thread (the HTTP
     handler threads call it); one lock guards the job table, the queue
     accounting and the journal writer.  Job execution itself runs outside
-    the lock, so slow searches never block intake.
+    the lock, so slow searches never block intake.  Job searches run one
+    at a time behind a second lock, the search lane: two searches on one
+    interpreter only contend for its GIL, so the queue workers overlap
+    their journal I/O and memo hits, not their searches.
     """
 
     def __init__(
@@ -298,6 +304,8 @@ class AuditService:
         self._queued = 0
         self._running = 0
         self._lock = threading.RLock()
+        #: Held for the duration of one job search (see the class docstring).
+        self._search_lane = threading.Lock()
         self._shutdown = threading.Event()
         self._idle = threading.Condition(self._lock)
         self._threads: "list[threading.Thread]" = []
@@ -331,7 +339,13 @@ class AuditService:
         """Open (or recover) the journal, re-queue unfinished jobs, start
         the worker threads and the HTTP listener."""
         self.journal.open()
-        self._recover()
+        try:
+            self._recover()
+        except BaseException:
+            # A refused recovery leaves nothing running; the journal handle
+            # must not outlive it in an embedding process.
+            self.journal.close()
+            raise
         disk = None if self.config.chaos is None else self.config.chaos.disk
         if disk is not None and disk.enabled:
             # Installed only after journal open/recovery: chaos drills the
@@ -1439,7 +1453,6 @@ class AuditService:
         ``kind="mitigate"`` jobs run the same audit per cell and then
         repair the ranking (see :meth:`_execute_mitigate`).
         """
-        from repro.engine.deadline import Deadline
         from repro.metrics import get_metric
         from repro.service.cache import (
             CachingEngineFactory,
@@ -1449,11 +1462,9 @@ class AuditService:
         from repro.simulation.runner import run_scenario
 
         scenario = self._build_scenario(job)
-        deadline = (
-            Deadline(job.deadline_seconds) if job.deadline_seconds is not None else None
-        )
         if job.kind == "mitigate":
-            return self._execute_mitigate(job, scenario, deadline)
+            with self._searching(job) as deadline:
+                return self._execute_mitigate(job, scenario, deadline)
         # Whole-experiment memo: the rows are a pure function of this
         # material (per-cell seeds derive from job.seed and cell names; the
         # kernel backend is parity-proven out of the key), so a repeat job
@@ -1471,20 +1482,21 @@ class AuditService:
         memo = self.cache.get(result_material)
         if memo is not None:
             return memo["payload"]
-        experiment = run_scenario(
-            scenario,
-            algorithms=(job.algorithm,),
-            metric=job.metric,
-            seed=job.seed,
-            metrics=self.metrics,
-            checkpoint=self.config.workdir / "checkpoints" / job.id,
-            resume=True,
-            deadline=deadline,
-            kernel=job.kernel or self.config.engine_kernel,
-            engine_factory=CachingEngineFactory(
-                self.cache, owner=f"scenario:{job.scenario}"
-            ),
-        )
+        with self._searching(job) as deadline:
+            experiment = run_scenario(
+                scenario,
+                algorithms=(job.algorithm,),
+                metric=job.metric,
+                seed=job.seed,
+                metrics=self.metrics,
+                checkpoint=self.config.workdir / "checkpoints" / job.id,
+                resume=True,
+                deadline=deadline,
+                kernel=job.kernel or self.config.engine_kernel,
+                engine_factory=CachingEngineFactory(
+                    self.cache, owner=f"scenario:{job.scenario}"
+                ),
+            )
         rows = [
             {
                 "function": row.function,
@@ -1509,6 +1521,25 @@ class AuditService:
                 owner=f"scenario:{job.scenario}",
             )
         return payload
+
+    @contextlib.contextmanager
+    def _searching(self, job: AuditJob):
+        """Hold the search lane for one job search, yielding the job's
+        :class:`~repro.engine.deadline.Deadline` (or None).  The wait is
+        recorded as ``service.search_lane_wait_seconds``; it is queue wait,
+        so the deadline starts only once the lane is held."""
+        from repro.engine.deadline import Deadline
+
+        with self.metrics.time("service.search_lane_wait_seconds"):
+            self._search_lane.acquire()
+        try:
+            yield (
+                None
+                if job.deadline_seconds is None
+                else Deadline(job.deadline_seconds)
+            )
+        finally:
+            self._search_lane.release()
 
     def _execute_mitigate(self, job: AuditJob, scenario, deadline) -> dict:
         """Audit each cell, then repair its ranking with ``job.strategy``.
@@ -1645,4 +1676,3 @@ class AuditService:
             else None
         )
         return builder(config)
-

@@ -101,3 +101,30 @@ def test_degenerate_pmfs_bit_identical(name: str, stack: np.ndarray) -> None:
         cross_matrix(metric, stack, stack, spec, kernel="numpy"),
         cross_matrix(metric, stack, stack, spec, kernel="scalar"),
     )
+
+
+@pytest.mark.parametrize("kernel", ("numpy", "scalar"))
+@pytest.mark.parametrize("name", KERNEL_METRICS)
+@given(stack=pmf_stacks(), split=st.integers(min_value=0, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_kernels_are_exactly_symmetric(
+    name: str, kernel: str, stack: np.ndarray, split: int
+) -> None:
+    """d(a, b) == d(b, a) bit for bit, whatever block a pair is taken in.
+
+    The atom search slices every child's sibling tracker from one pairwise
+    matrix of the family and scores all candidates in one stacked block;
+    both equal the per-block values only because of this.
+    """
+    metric = get_metric(name)
+    spec = HistogramSpec(bins=stack.shape[1])
+    forward = cross_matrix(metric, stack, stack, spec, kernel=kernel)
+    assert np.array_equal(forward, forward.T)
+    off_diagonal = ~np.eye(stack.shape[0], dtype=bool)
+    pairwise = pairwise_matrix(metric, stack, spec, kernel=kernel)
+    assert np.array_equal(pairwise[off_diagonal], forward[off_diagonal])
+    left, right = stack[:split], stack[split:]
+    assert np.array_equal(
+        cross_matrix(metric, left, right, spec, kernel=kernel),
+        cross_matrix(metric, right, left, spec, kernel=kernel).T,
+    )

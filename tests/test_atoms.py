@@ -142,7 +142,7 @@ def test_split_rows_matches_split_partition(seed: int) -> None:
             if attribute in parent.constrained_attributes():
                 continue
             children = split_partition(population, parent, attribute)
-            groups = table.split_rows(rows, attribute)
+            groups = table.group_rows([rows], attribute).groups()
             assert len(groups) == len(children)
             for group, child in zip(groups, children):
                 assert np.array_equal(

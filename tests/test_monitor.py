@@ -562,6 +562,26 @@ class TestCompactionFloor:
         with pytest.raises(SnapshotError, match="snapshots disabled"):
             make_service(tmp_path, snapshot_dir=None)
 
+    def test_refused_start_closes_the_journal(self, tmp_path):
+        path, _ = self.compacted_then_killed(tmp_path)
+        path.unlink()
+        service = AuditService(
+            ServiceConfig(tmp_path / "work", port=None, monitor_poll_seconds=0.01)
+        )
+        opened = []
+        real_open = service.journal.open
+
+        def open_and_note():
+            journal = real_open()
+            opened.append(journal._handle)
+            return journal
+
+        service.journal.open = open_and_note
+        with pytest.raises(SnapshotError):
+            service.start()
+        assert len(opened) == 1 and opened[0].closed
+        assert service.journal._handle is None
+
     def test_serve_reports_the_refusal_in_one_line(self, tmp_path):
         path, floor = self.compacted_then_killed(tmp_path)
         path.write_text("not json at all")

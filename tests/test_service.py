@@ -299,6 +299,118 @@ class TestDeadlineJobs:
         assert not record.result["deadline_hit"]
 
 
+class TestSearchLane:
+    """Job searches run one at a time; memo hits and queue wait do not
+    wait for them."""
+
+    @staticmethod
+    def gate_searches(monkeypatch, held=()):
+        """Wrap ``run_scenario``: record how many searches overlap, and
+        hold the searches of the job ids in ``held`` until released."""
+        import repro.simulation.runner as runner
+
+        real = runner.run_scenario
+        state = {"active": 0, "most": 0}
+        lock = threading.Lock()
+        started = {job_id: threading.Event() for job_id in held}
+        release = {job_id: threading.Event() for job_id in held}
+
+        def run(*args, **kwargs):
+            job_id = Path(kwargs["checkpoint"]).name
+            with lock:
+                state["active"] += 1
+                state["most"] = max(state["most"], state["active"])
+            try:
+                if job_id in release:
+                    started[job_id].set()
+                    release[job_id].wait(30)
+                else:
+                    time.sleep(0.02)
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    state["active"] -= 1
+
+        monkeypatch.setattr(runner, "run_scenario", run)
+        return state, started, release
+
+    @staticmethod
+    def two_workers(tmp_path):
+        return AuditService(ServiceConfig(tmp_path, workers=2, port=None)).start()
+
+    @staticmethod
+    def wait_for(svc, job_id, state, timeout=30.0):
+        stop = time.monotonic() + timeout
+        while svc.record(job_id).state is not state:
+            assert time.monotonic() < stop, svc.record(job_id).state
+            time.sleep(0.01)
+
+    def test_no_two_searches_overlap(self, tmp_path, monkeypatch):
+        # More workers than cores, and frequent thread switches.
+        state, _, _ = self.gate_searches(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc = AuditService(ServiceConfig(tmp_path, workers=3, port=None)).start()
+        try:
+            for seed in range(6):
+                svc.submit(_job(f"j{seed}", seed=seed))
+            assert svc.drain(timeout=60)
+            for seed in range(6):
+                assert svc.record(f"j{seed}").state is JobState.DONE
+        finally:
+            svc.stop()
+            sys.setswitchinterval(interval)
+        assert state["most"] == 1
+        wait = svc.metrics.timing("service.search_lane_wait_seconds")
+        assert wait is not None and wait.count == 6
+
+    def test_memo_hit_finishes_while_a_search_holds_the_lane(
+        self, tmp_path, monkeypatch
+    ):
+        _, started, release = self.gate_searches(monkeypatch, held=("blocker",))
+        svc = self.two_workers(tmp_path)
+        try:
+            svc.submit(_job("first"))
+            assert svc.drain(timeout=60)
+            svc.submit(_job("blocker", seed=1))
+            assert started["blocker"].wait(30)
+            svc.submit(_job("repeat"))
+            self.wait_for(svc, "repeat", JobState.DONE)
+            assert svc.record("blocker").state is JobState.RUNNING
+            assert svc.record("repeat").result == svc.record("first").result
+            release["blocker"].set()
+            assert svc.drain(timeout=60)
+            assert svc.record("blocker").state is JobState.DONE
+        finally:
+            for event in release.values():
+                event.set()
+            svc.stop()
+
+    def test_waiting_for_the_lane_does_not_consume_the_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        _, started, release = self.gate_searches(monkeypatch, held=("blocker",))
+        svc = self.two_workers(tmp_path)
+        try:
+            svc.submit(_job("blocker", seed=1))
+            assert started["blocker"].wait(30)
+            svc.submit(_job("patient", seed=2, deadline_seconds=0.25))
+            self.wait_for(svc, "patient", JobState.RUNNING)
+            time.sleep(0.6)  # well past the deadline, still waiting
+            assert svc.record("patient").state is JobState.RUNNING
+            release["blocker"].set()
+            assert svc.drain(timeout=60)
+            record = svc.record("patient")
+            assert record.state is JobState.DONE
+            assert not record.result["deadline_hit"]
+        finally:
+            for event in release.values():
+                event.set()
+            svc.stop()
+        wait = svc.metrics.timing("service.search_lane_wait_seconds")
+        assert wait.max >= 0.5
+
+
 class TestGracefulDrain:
     def test_inflight_finishes_and_queued_stays_pending(self, tmp_path, monkeypatch):
         started = threading.Event()

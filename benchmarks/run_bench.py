@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Fixed benchmark suite emitting a machine-readable perf trajectory.
 
-Runs the paper's algorithms over the table scenarios on both execution
-backends and writes ``benchmarks/results/BENCH_<timestamp>.json`` —
+Runs the paper's algorithms over the table scenarios and writes ``benchmarks/results/BENCH_<timestamp>.json`` —
 wall-clock per case, the engine's effort counters, the traced span
 breakdown, and a no-op-tracer overhead measurement.  Future PRs compare
 their own ``BENCH_*.json`` against the committed one to prove speedups.
@@ -87,6 +86,8 @@ from repro.simulation.scenarios import table1_scenario, table2_scenario  # noqa:
 
 BENCH_SCHEMA = "repro.bench/v1"
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+#: Execution backends a case of a payload committed before the process
+#: pool was removed may name.
 BACKENDS = ("sequential", "process")
 #: Arrival mixes of the ``--service-load`` SLO sweep (benchmarks/load_gen.py).
 LOAD_MIXES = ("uniform", "skewed", "adversarial")
@@ -154,7 +155,7 @@ def _suite(quick: bool) -> list[tuple[str, object]]:
     ]
 
 
-def _run_case(scenario, scores, algorithm: str, backend: str) -> dict:
+def _run_case(scenario, scores, algorithm: str) -> dict:
     """One audit: wall-clock + engine counters + traced span breakdown."""
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -164,7 +165,6 @@ def _run_case(scenario, scores, algorithm: str, backend: str) -> dict:
         scores,
         hist_spec=scenario.hist_spec,
         rng=0,
-        backend=backend,
         tracer=tracer,
         metrics=metrics,
     )
@@ -173,7 +173,6 @@ def _run_case(scenario, scores, algorithm: str, backend: str) -> dict:
         "scenario": scenario.name,
         "algorithm": algorithm,
         "function": BENCH_FUNCTION,
-        "backend": backend,
         "wall_seconds": wall,
         "unfairness": result.unfairness,
         "n_partitions": result.partitioning.k,
@@ -383,57 +382,54 @@ def _time_streaming_population(n_workers: int, repeats: int) -> dict:
             store.apply(mutation)
         intake.append(time.perf_counter() - start)
 
-    try:
-        start = time.perf_counter()
-        auditor.audit()
-        entry["first_audit_seconds"] = time.perf_counter() - start
-        entry["n_atoms"] = auditor.state.n_atoms
+    start = time.perf_counter()
+    auditor.audit()
+    entry["first_audit_seconds"] = time.perf_counter() - start
+    entry["n_atoms"] = auditor.state.n_atoms
 
-        # Steady-state delta loop: one untimed warm-up pays the one-off
-        # O(k²) tracker seed, then each batch is re-priced without an
-        # intervening audit — the monitor's between-audits regime.
+    # Steady-state delta loop: one untimed warm-up pays the one-off
+    # O(k²) tracker seed, then each batch is re-priced without an
+    # intervening audit — the monitor's between-audits regime.
+    stream_batch()
+    auditor.rescore_delta()
+    for _ in range(repeats):
         stream_batch()
-        auditor.rescore_delta()
-        for _ in range(repeats):
-            stream_batch()
-            start = time.perf_counter()
-            delta_report = auditor.rescore_delta()
-            times["delta_rescore"].append(time.perf_counter() - start)
-            if delta_report is not None and delta_report.stale:
-                stale_deltas += 1
-                auditor.audit()  # restore a live frontier, untimed
-                auditor.rescore_delta()
+        start = time.perf_counter()
+        delta_report = auditor.rescore_delta()
+        times["delta_rescore"].append(time.perf_counter() - start)
+        if delta_report is not None and delta_report.stale:
+            stale_deltas += 1
+            auditor.audit()  # restore a live frontier, untimed
+            auditor.rescore_delta()
 
-        # Audit-vs-rebuild loop: after each batch, the streaming re-audit
-        # races the from-scratch rebuild it replaces on identical state.
-        for _ in range(repeats):
-            stream_batch()
-            start = time.perf_counter()
-            report = auditor.audit()
-            times["streaming_audit"].append(time.perf_counter() - start)
+    # Audit-vs-rebuild loop: after each batch, the streaming re-audit
+    # races the from-scratch rebuild it replaces on identical state.
+    for _ in range(repeats):
+        stream_batch()
+        start = time.perf_counter()
+        report = auditor.audit()
+        times["streaming_audit"].append(time.perf_counter() - start)
 
-            start = time.perf_counter()
-            frozen, frozen_scores = store.to_population()
-            result = get_algorithm(auditor.algorithm).run(
-                frozen,
-                frozen_scores,
-                hist_spec=store.hist_spec,
-                metric=auditor.metric,
-                rng=auditor.seed,
-            )
-            times["full_rebuild"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        frozen, frozen_scores = store.to_population()
+        result = get_algorithm(auditor.algorithm).run(
+            frozen,
+            frozen_scores,
+            hist_spec=store.hist_spec,
+            metric=auditor.metric,
+            rng=auditor.seed,
+        )
+        times["full_rebuild"].append(time.perf_counter() - start)
 
-            assert report.unfairness == result.unfairness, (
-                "streaming audit diverged from the batch rebuild "
-                f"({report.unfairness!r} != {result.unfairness!r})"
-            )
-            batch_groups = sorted(
-                tuple(sorted(p.constraints)) for p in result.partitioning
-            )
-            stream_groups = sorted(tuple(sorted(g)) for g in report.groups)
-            assert stream_groups == batch_groups, "streaming chose different groups"
-    finally:
-        auditor.close()
+        assert report.unfairness == result.unfairness, (
+            "streaming audit diverged from the batch rebuild "
+            f"({report.unfairness!r} != {result.unfairness!r})"
+        )
+        batch_groups = sorted(
+            tuple(sorted(p.constraints)) for p in result.partitioning
+        )
+        stream_groups = sorted(tuple(sorted(g)) for g in report.groups)
+        assert stream_groups == batch_groups, "streaming chose different groups"
     entry["mutations_per_second"] = (
         STREAMING_DELTA_BATCH * len(intake) / sum(intake)
     )
@@ -1004,7 +1000,6 @@ def validate_bench_payload(payload: dict) -> None:
             ("scenario", str),
             ("algorithm", str),
             ("function", str),
-            ("backend", str),
             ("wall_seconds", float),
             ("unfairness", float),
             ("n_partitions", int),
@@ -1014,7 +1009,9 @@ def validate_bench_payload(payload: dict) -> None:
         ):
             if not isinstance(case.get(key), kind):
                 fail(f"cases[{index}].{key} must be {kind.__name__}")
-        if case["backend"] not in BACKENDS:
+        # backend is validated when present; payloads committed before the
+        # process pool was removed name one per case.
+        if "backend" in case and case["backend"] not in BACKENDS:
             fail(f"cases[{index}].backend {case['backend']!r} not in {BACKENDS}")
         if case["wall_seconds"] < 0:
             fail(f"cases[{index}].wall_seconds is negative")
@@ -1267,10 +1264,9 @@ def run_suite(
     for label, scenario in _suite(quick):
         scores = scenario.functions[BENCH_FUNCTION](scenario.population)
         for algorithm in PAPER_ALGORITHMS:
-            for backend in BACKENDS:
-                print(f"[{label}] {algorithm} / {backend} ...", flush=True)
-                cases.append(_run_case(scenario, scores, algorithm, backend))
-                print(f"    {cases[-1]['wall_seconds']:.3f}s", flush=True)
+            print(f"[{label}] {algorithm} ...", flush=True)
+            cases.append(_run_case(scenario, scores, algorithm))
+            print(f"    {cases[-1]['wall_seconds']:.3f}s", flush=True)
         if overhead is None:
             # The fused kernels cut the A/B audit to milliseconds, so the
             # measurement needs more interleaved repeats than the section

@@ -118,12 +118,8 @@ def audit_workload(
     hist_spec: HistogramSpec | None = None,
     metric: "str | HistogramDistance" = "emd",
     rng: "np.random.Generator | int | None" = None,
-    backend: "str | None" = None,
-    workers: "int | None" = None,
     tracer=None,
     metrics=None,
-    retry_policy=None,
-    fault_config=None,
     repair_strategy: "str | None" = None,
     repair_options: "dict | None" = None,
     kernel: "str | None" = None,
@@ -132,9 +128,8 @@ def audit_workload(
 
     Tasks with hard requirements are audited on the filtered pool their
     ranking actually sees (see :meth:`FairnessAuditor.audit_task`).
-    ``backend`` / ``workers`` select the evaluation engine's execution
-    backend per task; ``tracer`` / ``metrics`` attach observability hooks
-    shared across the whole workload (see :mod:`repro.obs`).
+    ``tracer`` / ``metrics`` attach observability hooks shared across the
+    whole workload (see :mod:`repro.obs`).
 
     With ``repair_strategy`` set, each task's worst partitioning is also
     repaired (:func:`~repro.repair.repair_ranking` with ``repair_options``
@@ -151,12 +146,8 @@ def audit_workload(
             task,
             algorithm=algorithm,
             rng=rng,
-            backend=backend,
-            workers=workers,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             kernel=kernel,
         )
         attributes = report.result.partitioning.attributes_used()

@@ -3,13 +3,10 @@
 Failure paths that are never exercised cannot be trusted, so every fault
 decision here is a CRC32 draw from ``seed + stable key``
 (:func:`seeded_roll`), never global randomness: one spec replays one
-fault schedule on every run.  Four families, each a frozen
-:class:`FaultSchedule` of rates and durations, fire where the system can
+fault schedule on every run.  Three families, each a frozen
+:class:`FaultSchedule` of rates and durations, fire where the daemon can
 really fail:
 
-* **engine** — pool workers of the ``process`` backend
-  (``_run_chunk`` in :mod:`repro.engine.backends`) crash, hang or return
-  detectably corrupt values, per chunk attempt;
 * **disk** — the :class:`FaultPlane` installed over every durable write
   (:func:`write` / :func:`fsync`, used by :mod:`repro.io.atomic` and the
   job journal): ENOSPC, EIO, torn writes, failed fsync, slow I/O;
@@ -21,9 +18,7 @@ really fail:
 One grammar, :meth:`ChaosConfig.parse`: ``<family>-<kind>=<rate>`` sets a
 rate, ``<family>-<field>=<value>`` another field of that family, and one
 ``seed`` is shared by all families — e.g.
-``engine-crash=0.3,engine-hang=0.1,engine-hang-seconds=0.2,seed=7`` (the
-engine verbs' ``--chaos``) or ``disk-fsync=0.05,net-reset=0.02,seed=7``
-(``serve --chaos``).
+``disk-fsync=0.05,net-reset=0.02,seed=7`` (``serve --chaos``).
 
 The module also holds the crash points: named kill switches at every
 fsync/replace boundary (:data:`CRASH_POINTS`), armed through the
@@ -39,7 +34,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field, fields, replace
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -50,13 +45,11 @@ __all__ = [
     "ChaosConfig",
     "CrashPointRegistry",
     "DiskFaults",
-    "EngineFaults",
     "FaultPlane",
     "FaultSchedule",
     "NetFaults",
     "WorkerFaults",
     "active",
-    "corrupt_values",
     "crash_point",
     "fsync",
     "install",
@@ -87,16 +80,14 @@ class FaultSchedule:
     """One family's seeded fault schedule.
 
     Families only declare fields: a ``<kind>_rate`` probability in [0, 1]
-    per fault kind and ``*_seconds`` durations (>= 0, or > 0 when named in
-    ``positive``).  The seed is shared by every family of a spec.
+    per fault kind and ``*_seconds`` durations (>= 0).  The seed is shared
+    by every family of a spec.
     """
 
     #: Spec-key prefix and the stem of the ``chaos.<family>_<kind>`` counters.
     family: ClassVar[str] = ""
     #: Prefix of the roll token's kind: ``"net-"`` rolls ``{seed}:net-{kind}:{key}``.
     token: ClassVar[str] = ""
-    #: Durations that must be strictly positive.
-    positive: ClassVar[tuple] = ()
 
     seed: int = 0
 
@@ -105,11 +96,8 @@ class FaultSchedule:
             name, value = item.name, getattr(self, item.name)
             if name.endswith("_rate") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-            if name.endswith("_seconds") and (
-                value < 0 or (value == 0 and name in self.positive)
-            ):
-                bound = "> 0" if name in self.positive else ">= 0"
-                raise ValueError(f"{name} must be {bound}, got {value}")
+            if name.endswith("_seconds") and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @classmethod
     def kinds(cls) -> "tuple[str, ...]":
@@ -146,24 +134,6 @@ class FaultSchedule:
             metrics.inc("chaos.faults_injected")
             metrics.inc(f"chaos.{self.family}_{kind}")
         return True
-
-
-@dataclass(frozen=True)
-class EngineFaults(FaultSchedule):
-    """Pool-worker faults per chunk attempt: raise
-    :class:`~repro.exceptions.WorkerCrashError` (``os._exit`` the worker,
-    breaking the pool, when ``crash_hard``), sleep ``hang_seconds`` — keep
-    it above the retry policy's timeout so hangs look hung — or damage the
-    returned values detectably (:func:`corrupt_values`)."""
-
-    family: ClassVar[str] = "engine"
-    positive: ClassVar[tuple] = ("hang_seconds",)
-
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    hang_seconds: float = 30.0
-    crash_hard: bool = False
 
 
 @dataclass(frozen=True)
@@ -210,14 +180,13 @@ class WorkerFaults(FaultSchedule):
 
 
 #: Every family, in spec order.
-FAMILIES = ("engine", "disk", "net", "worker")
+FAMILIES = ("disk", "net", "worker")
 
 
 @dataclass(frozen=True)
 class ChaosConfig:
     """A full ``--chaos`` spec: one schedule per family, one shared seed."""
 
-    engine: EngineFaults = field(default_factory=EngineFaults)
     disk: DiskFaults = field(default_factory=DiskFaults)
     net: NetFaults = field(default_factory=NetFaults)
     worker: WorkerFaults = field(default_factory=WorkerFaults)
@@ -229,16 +198,15 @@ class ChaosConfig:
 
     @property
     def seed(self) -> int:
-        return self.engine.seed
+        return self.disk.seed
 
     @classmethod
-    def parse(cls, spec: str, families: "Sequence[str]" = FAMILIES) -> "ChaosConfig":
-        """Parse the ``--chaos`` grammar (see the module docstring), admitting
-        only keys of ``families`` besides ``seed``.
+    def parse(cls, spec: str) -> "ChaosConfig":
+        """Parse the ``--chaos`` grammar (see the module docstring).
 
         Raises :class:`ValueError` naming the offending entry on a missing
-        ``=``, an unknown key, a family not admitted here, a malformed
-        value, or a rate/duration out of range.
+        ``=``, an unknown key, a malformed value, or a rate/duration out of
+        range.
         """
         defaults = cls()
         schedules = {family: getattr(defaults, family) for family in FAMILIES}
@@ -258,21 +226,11 @@ class ChaosConfig:
                 family, _, name = key.partition("-")
                 if family not in schedules:
                     raise ValueError(f"unknown key {key!r}")
-                if family not in families:
-                    allowed = ", ".join(f"{f}-*" for f in families)
-                    raise ValueError(
-                        f"{family}-* keys are not accepted here (only {allowed})"
-                    )
                 schedule = schedules[family]
                 name = schedule.spec_keys().get(name)
                 if name is None:
                     raise ValueError(f"unknown key {key!r}")
-                value = (
-                    bool(int(raw))
-                    if isinstance(getattr(schedule, name), bool)
-                    else float(raw)
-                )
-                schedules[family] = replace(schedule, **{name: value})
+                schedules[family] = replace(schedule, **{name: float(raw)})
             except ValueError as exc:
                 raise ValueError(f"chaos spec entry {part!r}: {exc}") from None
         return cls(
@@ -284,24 +242,12 @@ class ChaosConfig:
         """Flat summary of the daemon's seams for ``/v1/healthz`` and the
         bench payload."""
         summary: dict = {"spec": self.spec, "seed": self.seed}
-        for family in ("disk", "net", "worker"):
+        for family in FAMILIES:
             schedule = getattr(self, family)
             summary[family] = {
                 kind: getattr(schedule, f"{kind}_rate") for kind in schedule.kinds()
             }
         return summary
-
-
-def corrupt_values(values: "Sequence", seed: int, key: str) -> list:
-    """Damage an engine chunk's result list detectably — drop its last entry
-    or poison its middle one with NaN, as the CRC32 of
-    ``{seed}:corrupt-mode:{key}`` picks — so the chunk loop's validation
-    catches and repairs it."""
-    out = list(values)
-    if zlib.crc32(f"{seed}:corrupt-mode:{key}".encode()) & 1 or not out:
-        return out[:-1]
-    out[len(out) // 2] = float("nan")
-    return out
 
 
 # ---------------------------------------------------------------- disk plane

@@ -38,26 +38,18 @@ The repair-using subcommands (``mitigate``, ``workload``, ``experiment``,
 unifies the engine flags.
 
 The four engine-using subcommands (``audit``, ``compare``, ``workload``,
-``experiment``) share one flag surface:
+``experiment``) share one flag surface; every one of them scores in-process
+(``--workers`` means *workers in the marketplace*, i.e. population size,
+on ``generate`` and ``experiment``):
 
-* ``--engine-backend {sequential,process}`` / ``--engine-workers N``
-  select the evaluation engine's execution backend (``--workers`` keeps
-  meaning *workers in the marketplace*, i.e. population size, on
-  ``generate`` and ``experiment``);
 * ``--engine-kernel {numpy,scalar}`` selects the (bit-identical) distance
   kernels;
 * ``--trace-out FILE`` writes the run's span tree and metrics snapshot as
   JSON (see ``docs/observability.md``);
-* ``--log-level LEVEL`` configures structured logging;
-* ``--engine-retries`` / ``--engine-timeout`` / ``--engine-retry-backoff``
-  / ``--engine-no-fallback`` configure the worker pool's fault tolerance
-  and ``--chaos SPEC`` with ``engine-*`` keys enables deterministic chaos
-  testing in the pool workers (see ``docs/robustness.md``).  Fault
-  injection needs a pool backend: with ``sequential`` the command exits 2.
+* ``--log-level LEVEL`` configures structured logging.
 
-``serve`` takes only the engine flags the daemon reads, ``--engine-kernel``
-and ``--log-level``: the daemon scores in-process, so it has no worker pool
-to retry.  Its ``--chaos`` takes the same grammar with ``disk-*``,
+``serve`` takes only ``--engine-kernel`` and ``--log-level`` of these.
+Its ``--chaos`` takes the :mod:`repro.chaos` grammar with ``disk-*``,
 ``net-*`` and ``worker-*`` keys.
 
 ``experiment`` additionally supports ``--checkpoint-dir DIR`` (persist
@@ -75,7 +67,7 @@ from repro.chaos import ChaosConfig
 from repro.core.algorithms import PAPER_ALGORITHMS, available_algorithms
 from repro.core.audit import FairnessAuditor
 from repro.core.histogram import HistogramSpec
-from repro.engine import KERNEL_BACKENDS, available_backends
+from repro.engine import KERNEL_BACKENDS
 from repro.exceptions import PartitioningError
 from repro.io.serialization import (
     load_population,
@@ -149,45 +141,23 @@ def _tenant_weight(value: str) -> "tuple[str, float]":
     return tenant, parsed
 
 
-def _chaos_spec(*families: str):
-    """argparse type of ``--chaos``: :meth:`ChaosConfig.parse` admitting
-    only ``families``, its errors (which name the entry) turned into a
-    usage error."""
-
-    def parse(value: str) -> ChaosConfig:
-        try:
-            return ChaosConfig.parse(value, families)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-
-    return parse
+def _chaos_spec(value: str) -> ChaosConfig:
+    """argparse type of ``serve --chaos``: :meth:`ChaosConfig.parse`, its
+    errors (which name the entry) turned into a usage error."""
+    try:
+        return ChaosConfig.parse(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_engine_arguments(
     parser: argparse.ArgumentParser, daemon: bool = False
 ) -> None:
     """The shared engine/observability flag surface of the four engine-using
-    subcommands: ``--engine-backend`` / ``--engine-workers`` /
-    ``--engine-kernel`` / the retry flags / ``--chaos`` (``engine-*`` keys)
-    / ``--trace-out`` / ``--log-level``.  ``daemon=True`` (``serve``) adds
-    only the flags the daemon reads: ``--engine-kernel`` and
-    ``--log-level``."""
+    subcommands: ``--engine-kernel`` / ``--trace-out`` / ``--log-level``.
+    ``daemon=True`` (``serve``) adds only the flags the daemon reads:
+    ``--engine-kernel`` and ``--log-level``."""
     group = parser.add_argument_group("evaluation engine")
-    if not daemon:
-        group.add_argument(
-            "--engine-backend",
-            dest="engine_backend",
-            default="sequential",
-            choices=sorted(available_backends()),
-            help="evaluation backend: sequential (default) or a process pool",
-        )
-        group.add_argument(
-            "--engine-workers",
-            dest="engine_workers",
-            type=_positive_int,
-            default=None,
-            help="worker processes for --engine-backend process (default: all cores)",
-        )
     group.add_argument(
         "--engine-kernel",
         dest="engine_kernel",
@@ -197,47 +167,6 @@ def _add_engine_arguments(
         "scalar (per-pair reference).  Both produce bit-identical results",
     )
     if not daemon:
-        group.add_argument(
-            "--engine-retries",
-            dest="engine_retries",
-            type=_nonnegative_int,
-            default=None,
-            metavar="N",
-            help="retry a failed worker-pool chunk up to N times (default: 3 "
-            "once any resilience flag is set)",
-        )
-        group.add_argument(
-            "--engine-timeout",
-            dest="engine_timeout",
-            type=_positive_float,
-            default=None,
-            metavar="SECONDS",
-            help="per-chunk deadline; timed-out chunks are re-dispatched",
-        )
-        group.add_argument(
-            "--engine-retry-backoff",
-            dest="engine_retry_backoff",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="base delay between retries (doubles each attempt, with jitter)",
-        )
-        group.add_argument(
-            "--engine-no-fallback",
-            dest="engine_no_fallback",
-            action="store_true",
-            help="raise BackendExhaustedError instead of computing in-process "
-            "when retries run out",
-        )
-        group.add_argument(
-            "--chaos",
-            type=_chaos_spec("engine"),
-            default=None,
-            metavar="SPEC",
-            help="deterministic chaos mode in the pool workers of "
-            "--engine-backend process, e.g. 'engine-crash=0.3,"
-            "engine-hang=0.1,engine-corrupt=0.05,seed=1' (see docs/robustness.md)",
-        )
         group.add_argument(
             "--trace-out",
             dest="trace_out",
@@ -338,42 +267,6 @@ def _repair_options(args: argparse.Namespace) -> dict:
     if args.strategy == "det_rerank":
         options["strategy_options"] = {"variant": args.variant}
     return options
-
-
-def _resilience(args: argparse.Namespace) -> "tuple[object, object]":
-    """(retry_policy, fault_config) for one command.
-
-    Both stay ``None`` unless a resilience flag was given, keeping the
-    plain backends on their zero-overhead path.  Hang injection without an
-    explicit ``--engine-timeout`` gets a 5-second default so injected
-    stragglers are re-dispatched instead of stalling the run.
-    """
-    from repro.engine.resilience import RetryPolicy
-
-    chaos = args.chaos
-    faults = chaos.engine if chaos is not None and chaos.engine.enabled else None
-    timeout = args.engine_timeout
-    if timeout is None and faults is not None and faults.hang_rate > 0:
-        timeout = 5.0
-    wants_policy = (
-        args.engine_retries is not None
-        or args.engine_retry_backoff is not None
-        or timeout is not None
-        or args.engine_no_fallback
-    )
-    if not wants_policy and faults is None:
-        return None, None
-    policy = RetryPolicy(
-        max_retries=args.engine_retries if args.engine_retries is not None else 3,
-        timeout_seconds=timeout,
-        backoff_seconds=(
-            args.engine_retry_backoff
-            if args.engine_retry_backoff is not None
-            else 0.05
-        ),
-        fallback_sequential=not args.engine_no_fallback,
-    )
-    return policy, faults
 
 
 def _observability(args: argparse.Namespace) -> "tuple[object, MetricsRegistry | None]":
@@ -663,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--chaos",
-        type=_chaos_spec("disk", "net", "worker"),
+        type=_chaos_spec,
         default=None,
         metavar="SPEC",
         help="seeded service-wide fault injection, e.g. "
@@ -846,7 +739,6 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _command_audit(args: argparse.Namespace) -> int:
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     with tracer.span(
         "cli.audit", function=args.function, algorithm=args.algorithm
     ) as root:
@@ -862,13 +754,9 @@ def _command_audit(args: argparse.Namespace) -> int:
             function,
             algorithm=args.algorithm,
             rng=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
         )
         with tracer.span("cli.render"):
             rendered = report.render(histograms=args.histograms)
@@ -891,7 +779,6 @@ def _resolve_function(name: str):
 
 def _command_compare(args: argparse.Namespace) -> int:
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     population = load_population(args.population)
     function = _resolve_function(args.function)
     if function is None:
@@ -909,13 +796,9 @@ def _command_compare(args: argparse.Namespace) -> int:
                 population,
                 scores,
                 rng=args.seed,
-                backend=args.engine_backend,
-                workers=args.engine_workers,
                 kernel=args.engine_kernel,
                 tracer=tracer,
                 metrics=metrics,
-                retry_policy=retry_policy,
-                fault_config=fault_config,
             )
             attributes = ",".join(result.partitioning.attributes_used()) or "(none)"
             print(
@@ -1068,20 +951,15 @@ def _command_workload(args: argparse.Namespace) -> int:
         print(f"malformed task spec: {exc!r}", file=sys.stderr)
         return 2
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     with tracer.span("cli.workload", n_tasks=len(tasks)):
         summary = audit_workload(
             population,
             tasks,
             algorithm=args.algorithm,
             rng=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             repair_strategy=args.strategy,
             repair_options=_repair_options(args) if args.strategy else None,
         )
@@ -1095,7 +973,6 @@ def _command_workload(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     tracer, metrics = _observability(args)
-    retry_policy, fault_config = _resilience(args)
     checkpoint_dir = args.resume or args.checkpoint_dir
     resume = args.resume is not None
     if args.name == "figure1":
@@ -1104,13 +981,9 @@ def _command_experiment(args: argparse.Namespace) -> int:
             scenario,
             algorithms=("exhaustive", "balanced", "unbalanced"),
             seed=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             checkpoint=checkpoint_dir,
             resume=resume,
         )
@@ -1129,13 +1002,9 @@ def _command_experiment(args: argparse.Namespace) -> int:
             scenario,
             algorithms=PAPER_ALGORITHMS,
             seed=args.seed,
-            backend=args.engine_backend,
-            workers=args.engine_workers,
             kernel=args.engine_kernel,
             tracer=tracer,
             metrics=metrics,
-            retry_policy=retry_policy,
-            fault_config=fault_config,
             checkpoint=checkpoint_dir,
             resume=resume,
         )
@@ -1450,8 +1319,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return commands[args.command](args)
     except PartitioningError as exc:
-        # Invalid engine configuration, e.g. --chaos engine-* keys without
-        # a worker pool to inject into.
+        # An engine error the search cannot run past, e.g. an empty
+        # population.
         print(f"repro-audit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ Pseudo-code (Algorithm 1)::
 
 All objective queries go through the run's
 :class:`~repro.engine.engine.EvaluationEngine` (via ``worst_attribute``,
-which batches the per-attribute candidates through the engine's backend).
+which batches the per-attribute candidates through the engine).
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ so candidates are deduplicated on their member sets before evaluation
 :func:`~repro.core.partition.content_key`).
 
 Deduplicated candidates are scored in fixed-size batches through
-``engine.score_many`` — the fan-out point the process backend parallelises —
-with the argmax taken in enumeration order (strict improvement only), so the
-winner is identical across chunk sizes and backends.
+``engine.score_many``, with the argmax taken in enumeration order (strict
+improvement only), so the winner is identical across chunk sizes.
 
 The search is budgeted: exceeding ``budget`` candidate partitionings raises
 :class:`~repro.exceptions.BudgetExceededError` — the bounded-compute analogue
@@ -43,8 +42,8 @@ from repro.exceptions import BudgetExceededError
 
 __all__ = ["ExhaustiveAlgorithm", "count_split_trees"]
 
-#: Candidates per ``score_many`` batch; large enough to amortise backend
-#: dispatch, small enough to keep peak memory flat on huge enumerations.
+#: Candidates per ``score_many`` batch; small enough to keep peak memory
+#: flat on huge enumerations.
 _BATCH_SIZE = 256
 
 

@@ -3,25 +3,13 @@
 See :mod:`repro.engine.engine` for the entry point
 (:class:`EvaluationEngine`), :mod:`repro.engine.kernels` for the vectorized
 distance kernels, :mod:`repro.engine.incremental` for O(k·Δ) frontier
-updates, :mod:`repro.engine.backends` for the execution backends (the
-process pool's chunk loop is the one retry loop),
-:mod:`repro.engine.resilience` for its retry/timeout/fallback policy,
-and :mod:`repro.engine.streaming` for O(Δ) re-audits of mutable
-populations.  Fault injection into pool workers lives in
-:mod:`repro.chaos`.
+updates, and :mod:`repro.engine.streaming` for O(Δ) re-audits of mutable
+populations.  Every candidate is scored in-process.
 """
 
-from repro.engine.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SequentialBackend,
-    available_backends,
-    get_backend,
-)
 from repro.engine.context import SearchContext
 from repro.engine.deadline import Deadline, StepDeadline
 from repro.engine.engine import EngineStats, EvaluationEngine
-from repro.engine.resilience import RetryPolicy, validate_batch
 from repro.engine.incremental import FullRecomputeObjective, IncrementalObjective
 from repro.engine.kernels import (
     DEFAULT_KERNEL,
@@ -53,13 +41,6 @@ __all__ = [
     "SearchContext",
     "Deadline",
     "StepDeadline",
-    "ExecutionBackend",
-    "SequentialBackend",
-    "ProcessPoolBackend",
-    "available_backends",
-    "get_backend",
-    "RetryPolicy",
-    "validate_batch",
     "IncrementalObjective",
     "FullRecomputeObjective",
     "cross_matrix",

@@ -14,11 +14,7 @@ With the table in hand the hot paths stop touching member-index arrays:
   atom rows — O(atoms x bins), independent of the population size;
 * every single-attribute split of a greedy step is a **grouped
   aggregation**: group the parent's atom rows by that attribute's code
-  column and sum each group;
-* a process-pool task ships an atom-id list (a few dozen ints) instead of
-  a member-index array (a few million), and the count matrix itself is
-  published zero-copy through ``multiprocessing.shared_memory`` (see
-  :mod:`repro.engine.backends`).
+  column and sum each group.
 
 Everything stays **bit-identical** to the member-array path: the row-sums
 are exact int64 arithmetic, so they equal ``bincount`` over the member

@@ -5,16 +5,18 @@ harness and the audit layer make flows through one engine instance.  The
 engine binds a population, a score vector, a histogram spec, a metric and
 a weighting — exactly like :class:`~repro.core.unfairness.UnfairnessEvaluator`,
 which remains the straight-line reference implementation — and adds the
-three things the reference deliberately does not have:
+two things the reference deliberately does not have:
 
 * a **value cache** keyed on the multiset of partition histograms (the
   objective depends on nothing else), so re-visited partitionings cost a
   dictionary lookup;
 * **vectorized kernels** (:mod:`repro.engine.kernels`) and an
   **incremental objective** (:mod:`repro.engine.incremental`) so a greedy
-  step pays O(k·Δ) instead of O(k²);
-* **pluggable backends** (:mod:`repro.engine.backends`) so candidate
-  batches fan out across processes.
+  step pays O(k·Δ) instead of O(k²).
+
+Candidate batches (:meth:`EvaluationEngine.score_many`,
+:meth:`EvaluationEngine.score_rows_many`) are scored in-process, one
+candidate after another, through the same cached path.
 
 The engine also keeps :class:`EngineStats` — evaluation counts, cache
 hits, and pairwise distances actually materialised vs the naive dense
@@ -29,7 +31,7 @@ seed's cost model, kept as the measurable baseline.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +40,6 @@ from repro.core.histogram import HistogramSpec
 from repro.core.partition import Partition, Partitioning
 from repro.core.population import Population
 from repro.engine.atoms import AtomTable, RowGroups
-from repro.engine.backends import ExecutionBackend, get_backend, task_pmfs
 from repro.engine.incremental import FullRecomputeObjective, IncrementalObjective
 from repro.engine.kernels import (
     KERNEL_COUNTER_KEYS,
@@ -80,8 +81,6 @@ class EngineStats:
     cache_hits: int = 0
     pair_distances_computed: int = 0
     pair_distances_full: int = 0
-    backend: str = "sequential"
-    workers: int = 1
     kernel: str = "numpy"
 
     def as_dict(self) -> dict:
@@ -93,8 +92,6 @@ class EngineStats:
             "cache_hits": self.cache_hits,
             "pair_distances_computed": self.pair_distances_computed,
             "pair_distances_full": self.pair_distances_full,
-            "backend": self.backend,
-            "workers": self.workers,
             "kernel": self.kernel,
         }
 
@@ -106,23 +103,6 @@ class EvaluationEngine:
     ----------
     population, scores, hist_spec, metric, weighting:
         As in :class:`~repro.core.unfairness.UnfairnessEvaluator`.
-    backend:
-        Backend name (``"sequential"`` / ``"process"``) or an
-        :class:`~repro.engine.backends.ExecutionBackend` instance; batch
-        queries through :meth:`score_many` run on it.
-    workers:
-        Worker count for the process backend (ignored by sequential).
-    retry_policy:
-        Optional :class:`~repro.engine.resilience.RetryPolicy` for the pool
-        backends' chunk loop (timeouts, bounded retry with backoff,
-        in-process degradation); ignored by the sequential backend and when
-        ``backend`` is already an instance.
-    fault_config:
-        Optional :class:`~repro.chaos.EngineFaults` schedule injecting
-        seeded crashes/hangs/corruption into pool workers (chaos mode /
-        tests); an enabled schedule with the sequential backend raises
-        :class:`~repro.exceptions.PartitioningError`.  Ignored when
-        ``backend`` is already an instance.
     mode:
         ``"incremental"`` (default: cache + fast paths + O(k·Δ) frontier
         updates) or ``"full"`` (dense recomputation every query — the
@@ -166,13 +146,9 @@ class EvaluationEngine:
         hist_spec: HistogramSpec | None = None,
         metric: "str | HistogramDistance" = "emd",
         weighting: str = "uniform",
-        backend: "str | ExecutionBackend | None" = None,
-        workers: "int | None" = None,
         mode: str = "incremental",
         tracer: "Tracer | NullTracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        retry_policy=None,
-        fault_config=None,
         use_atoms: "bool | None" = None,
         kernel: "str | None" = None,
         atom_table: "AtomTable | None" = None,
@@ -203,18 +179,13 @@ class EvaluationEngine:
             )
         self.scores = scores
         self._bin_idx = self.spec.bin_indices(scores)
-        self.backend = get_backend(
-            backend, workers, policy=retry_policy, faults=fault_config
-        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Hot-path guard: span creation (and timing observation) is skipped
         #: entirely unless a real tracer was passed in.
         self._trace = bool(getattr(self.tracer, "enabled", False))
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._synced_stats: dict[str, int] = {}
-        self.stats = EngineStats(
-            backend=self.backend.name, workers=self.backend.workers, kernel=self.kernel
-        )
+        self.stats = EngineStats(kernel=self.kernel)
         self._pmf_cache: dict[Partition, np.ndarray] = {}
         self._value_cache: "OrderedDict[tuple, float]" = OrderedDict()
         if seed_value_cache:
@@ -231,18 +202,6 @@ class EvaluationEngine:
         self._atom_table: "AtomTable | None" = None
         if atom_table is not None and self._use_atoms:
             self._atom_table = atom_table
-        #: Monotone version of the atom-count binding.  The process backend
-        #: keys its shared-memory publication on (engine id, atom_version),
-        #: so a streaming engine that swaps in a new table (see
-        #: :meth:`~repro.engine.streaming.StreamingEngine.rebind`) republishes
-        #: the cube, while an unchanged binding reuses the live segments.
-        self.atom_version = 0
-        # True when the metric's average_pairwise is a closed form that never
-        # materialises individual pairs (EMD's sorted-prefix-sum path).
-        self._closed_form_average = (
-            type(self.metric).average_pairwise
-            is not HistogramDistance.average_pairwise
-        )
 
     # ---------------------------------------------------------------- atoms
 
@@ -504,52 +463,45 @@ class EvaluationEngine:
     def score_many(
         self, candidates: Sequence[Sequence[Partition]]
     ) -> list[float]:
-        """Objective of every candidate partitioning, via the backend."""
+        """Objective of every candidate partitioning, in input order."""
         candidates = list(candidates)
+        self.metrics.inc("backend.batches")
+        self.metrics.inc("backend.candidates", len(candidates))
         if not self._trace:
-            return self.backend.score_partitionings(self, candidates)
+            return [self.unfairness(candidate) for candidate in candidates]
         with self.tracer.span(
-            "engine.score_many",
-            n_candidates=len(candidates),
-            backend=self.backend.name,
+            "engine.score_many", n_candidates=len(candidates)
         ) as span:
-            values = self.backend.score_partitionings(self, candidates)
+            values = [self.unfairness(candidate) for candidate in candidates]
         self.metrics.observe("engine.score_many_seconds", span.duration_seconds)
         return values
 
-    def score_rows_many(self, tasks: "Sequence[list]") -> list[float]:
-        """Objective of every wire-format candidate, via the backend.
+    def score_rows_many(self, tasks: "Sequence[np.ndarray]") -> list[float]:
+        """Objective of every candidate given as histograms, in input order.
 
-        Each task is either a list of ``("a", atom_rows)`` /
-        ``("m", member_idx)`` entries — one per partition of the candidate —
-        or a ``(k, bins)`` int64 matrix holding the histograms of its ``k``
-        partitions.  This is the atom-path sibling of :meth:`score_many`:
-        candidates ship as atom-id lists or histograms, so a process-pool
-        dispatch is O(atoms) per partition instead of O(members).
+        Each task is a ``(k, bins)`` int64 matrix holding the histograms of
+        the candidate's ``k`` partitions.  This is the atom-path sibling of
+        :meth:`score_many`, for candidates that exist only as histograms,
+        never as Partition objects; same histograms give the same cache
+        keys, hits and counter increments on either path.
         """
         tasks = list(tasks)
+        self.metrics.inc("backend.batches")
+        self.metrics.inc("backend.candidates", len(tasks))
         if not self._trace:
-            return self.backend.score_histogram_tasks(self, tasks)
+            return [self._score_counts(task) for task in tasks]
         with self.tracer.span(
-            "engine.score_rows_many",
-            n_candidates=len(tasks),
-            backend=self.backend.name,
+            "engine.score_rows_many", n_candidates=len(tasks)
         ) as span:
-            values = self.backend.score_histogram_tasks(self, tasks)
+            values = [self._score_counts(task) for task in tasks]
         self.metrics.observe("engine.score_many_seconds", span.duration_seconds)
         return values
 
-    def score_tasks_inline(self, tasks: "Sequence[list]") -> list[float]:
-        """Score wire-format candidates in-process (sequential backends'
-        histogram-task path), with the same value cache and effort
-        accounting as :meth:`unfairness` — same histograms produce the same
-        cache keys, hits and counter increments on either path."""
-        return [self._score_pmf_stack(*self._task_pmfs(task)) for task in tasks]
-
-    def _task_pmfs(self, task) -> "tuple[np.ndarray, list[int]]":
-        """Materialise one wire-format candidate as (pmf stack, sizes)."""
-        counts = self.atom_table.counts if self._use_atoms else None
-        return task_pmfs(self.spec, self._bin_idx, counts, task)
+    def _score_counts(self, counts: np.ndarray) -> float:
+        """Objective of one ``(k, bins)`` histogram matrix: each row's
+        integer counts divided by its integer size, as :meth:`pmf` does."""
+        sizes = counts.sum(axis=1)
+        return self._score_pmf_stack(counts / sizes[:, np.newaxis], sizes.tolist())
 
     def _score_pmf_stack(self, pmfs: np.ndarray, sizes: "list[int]") -> float:
         """Cache-aware objective of one pmf stack; mirrors :meth:`_unfairness`
@@ -688,7 +640,7 @@ class EvaluationEngine:
         return IncrementalObjective(self, partitions)
 
     # --------------------------------------------- kernel/stat plumbing used
-    # by IncrementalObjective and the backends; not part of the search API.
+    # by IncrementalObjective; not part of the search API.
 
     def materialize_pairwise(self, pmfs: np.ndarray) -> np.ndarray:
         """Dense pairwise matrix of a pmf stack (no EngineStats side effects;
@@ -720,43 +672,6 @@ class EvaluationEngine:
         self.stats.n_incremental_evaluations += 1
         self.stats.pair_distances_computed += new_pairs
         self.stats.pair_distances_full += k * (k - 1) // 2
-
-    def record_external_evaluations(
-        self, candidates: Sequence[Sequence[Partition]]
-    ) -> None:
-        """Account candidates a worker pool evaluated on the parent's stats.
-
-        Workers run :func:`~repro.engine.kernels.full_objective`, so each
-        candidate is one full evaluation that materialised C(k, 2) pairs —
-        or none at all when the metric's average is a closed form.
-        """
-        for candidate in candidates:
-            k = len(candidate)
-            self.stats.n_evaluations += 1
-            self.stats.n_full_evaluations += 1
-            if k < 2:
-                continue
-            n_pairs = k * (k - 1) // 2
-            self.stats.pair_distances_full += n_pairs
-            if not self._closed_form_average:
-                self.stats.pair_distances_computed += n_pairs
-
-    def worker_payload(self) -> dict:
-        """Initializer state for process-pool workers (see backends).
-
-        ``atom_counts`` is the atom table's count matrix when the atom path
-        is enabled (workers serve ``("a", rows)`` wire entries from it) and
-        None otherwise; the process backend publishes it — and ``bin_idx`` —
-        through shared memory rather than pickling them per worker.
-        """
-        return {
-            "spec": self.spec,
-            "metric": self.metric,
-            "bin_idx": self._bin_idx,
-            "weighting": self.weighting,
-            "atom_counts": self.atom_table.counts if self._use_atoms else None,
-            "kernel": self.kernel,
-        }
 
     # ------------------------------------------------------------ lifecycle
 
@@ -799,7 +714,6 @@ class EvaluationEngine:
             if delta:
                 self.metrics.inc(f"engine.{synced_key}", delta)
             self._synced_stats[synced_key] = value
-        self.metrics.set_gauge("engine.workers", self.stats.workers)
         self.metrics.set_gauge("engine.value_cache_size", len(self._value_cache))
         return self.metrics
 
@@ -808,9 +722,9 @@ class EvaluationEngine:
         return self.sync_metrics().as_dict()
 
     def close(self) -> None:
-        """Release backend resources; the engine stays usable sequentially."""
+        """End of a run: flush the effort counters into the registry.  The
+        engine stays usable."""
         self.sync_metrics()
-        self.backend.close()
 
     def _cache_key(self, partitions: Sequence[Partition]) -> tuple:
         # The objective is a function of the *multiset* of histograms only
@@ -822,6 +736,5 @@ class EvaluationEngine:
 
     def __repr__(self) -> str:
         return (
-            f"EvaluationEngine(metric={self.metric.name!r}, mode={self.mode!r}, "
-            f"backend={self.backend.name!r}, workers={self.backend.workers})"
+            f"EvaluationEngine(metric={self.metric.name!r}, mode={self.mode!r})"
         )

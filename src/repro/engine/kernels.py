@@ -391,13 +391,12 @@ def full_objective(
 ) -> tuple[float, int]:
     """Average pairwise distance of a histogram stack, computed from scratch.
 
-    This is the one shared "full evaluation" code path: the sequential
-    engine, the process-pool workers and the incremental objective's
-    reference all call it, which is what keeps backend results
-    bit-identical.  Returns ``(value, pairs_materialized)`` where the second
-    element counts the individual pairwise distances actually computed —
-    0 for metrics with a closed-form average (EMD's sorted-prefix-sum path
-    never materialises a single pair).
+    This is the one shared "full evaluation" code path: the engine and
+    the incremental objective's reference both call it, which keeps their
+    results bit-identical.  Returns ``(value, pairs_materialized)`` where
+    the second element counts the individual pairwise distances actually
+    computed — 0 for metrics with a closed-form average (EMD's
+    sorted-prefix-sum path never materialises a single pair).
 
     Closed-form ``average_pairwise`` overrides are preferred on *every*
     kernel backend, so the algorithm-level objective stays bit-identical

@@ -14,7 +14,7 @@ before/after pair in two vectorized passes:
   partitions nest;
 * the objective is scored by the engine's shared
   :func:`~repro.engine.kernels.full_objective` kernel, which is the same
-  code path every search backend uses — so repaired-ranking prices are
+  code path the search uses — so repaired-ranking prices are
   bit-comparable with audit results.
 """
 

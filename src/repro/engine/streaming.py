@@ -27,8 +27,7 @@ Three pieces make the audit O(atoms) end to end:
   exactly.  The engine persists across re-audits: its content-addressed
   value cache is keyed on histogram bytes, so a mutation batch only
   invalidates the entries whose histograms actually changed (untouched
-  keys keep hitting), and its process-pool backend republishes the
-  shared-memory cube only when the atom version moved.
+  keys keep hitting).
 
 :class:`StreamingAuditor` ties it together: sync mutations from a
 :class:`~repro.marketplace.streaming.MutablePopulation`, re-run the
@@ -211,11 +210,10 @@ def proxy_population(schema, table: AtomTable) -> Population:
 class StreamingEngine(EvaluationEngine):
     """Engine over the atom proxy, arithmetically identical to the batch path.
 
-    Overrides make three substitutions: partition indices *are* atom rows
-    (no constraint resolution), pmf denominators and objective weights are
-    **true member sizes** from the table, and ``close()`` keeps the backend
-    alive so one engine serves every re-audit of a monitored population
-    (call :meth:`shutdown` to actually release it).
+    Overrides make two substitutions: partition indices *are* atom rows
+    (no constraint resolution), and pmf denominators and objective weights
+    are **true member sizes** from the table.  One engine serves every
+    re-audit of a monitored population (see :meth:`rebind`).
     """
 
     def __init__(self, population, scores, *, table: AtomTable, **kwargs) -> None:
@@ -276,10 +274,7 @@ class StreamingEngine(EvaluationEngine):
         Partition-object-keyed caches go (their Partition objects belong to
         the previous audit's proxy); the content-addressed value cache
         stays — an entry whose histograms did not change keeps hitting, so
-        only touched cache keys miss.  ``atom_version`` bumps only when the
-        table actually changed: that is what tells the process backend the
-        shared cube is dirty and must be republished (an audit with no
-        intervening mutations reuses the live segments).
+        only touched cache keys miss.
         """
         if population.size != table.n_atoms:
             raise PartitioningError(
@@ -289,28 +284,11 @@ class StreamingEngine(EvaluationEngine):
         scores = np.asarray(scores, dtype=np.float64)
         self.scores = scores
         self._bin_idx = self.spec.bin_indices(scores)
-        if table is not self._atom_table:
-            self._atom_table = table
-            self.atom_version += 1
+        self._atom_table = table
         self._pmf_cache.clear()
-        self.stats = EngineStats(
-            backend=self.backend.name, workers=self.backend.workers, kernel=self.kernel
-        )
+        self.stats = EngineStats(kernel=self.kernel)
         self._synced_stats = {}
         self.metrics.set_gauge("engine.atoms", table.n_atoms)
-
-    def close(self) -> None:
-        """Per-run close: flush metrics but keep the backend's pool warm.
-
-        ``PartitioningAlgorithm.run`` closes its engine in a ``finally``;
-        for a persistent streaming engine that must not tear down the
-        process pool between re-audits.  :meth:`shutdown` does.
-        """
-        self.sync_metrics()
-
-    def shutdown(self) -> None:
-        """Actually release backend resources (pool, shared memory)."""
-        super().close()
 
 
 @dataclass(frozen=True)
@@ -401,11 +379,7 @@ class StreamingAuditor:
         algorithm: str = "balanced",
         metric: str = "emd",
         weighting: str = "uniform",
-        backend: "str | None" = None,
-        workers: "int | None" = None,
         seed: int = 0,
-        retry_policy=None,
-        fault_config=None,
         algorithm_options: "dict | None" = None,
         metrics=None,
         tracer=None,
@@ -415,12 +389,8 @@ class StreamingAuditor:
         self.algorithm = algorithm
         self.metric = metric
         self.weighting = weighting
-        self.backend = backend
-        self.workers = workers
         self.kernel = kernel
         self.seed = seed
-        self.retry_policy = retry_policy
-        self.fault_config = fault_config
         self.algorithm_options = dict(algorithm_options or {})
         self.metrics = metrics
         self.tracer = tracer
@@ -510,12 +480,8 @@ class StreamingAuditor:
             metric=self.metric,
             rng=self.seed,
             weighting=self.weighting,
-            backend=self.backend,
-            workers=self.workers,
             tracer=self.tracer,
             metrics=self.metrics,
-            retry_policy=self.retry_policy,
-            fault_config=self.fault_config,
             deadline=deadline,
             engine_factory=self._engine_factory,
             kernel=self.kernel,
@@ -653,10 +619,3 @@ class StreamingAuditor:
             duration_seconds=duration,
             stale=stale,
         )
-
-    # ------------------------------------------------------------- lifecycle
-
-    def close(self) -> None:
-        """Release the persistent engine's backend (pool, shared memory)."""
-        if self._engine is not None:
-            self._engine.shutdown()

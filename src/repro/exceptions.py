@@ -48,7 +48,8 @@ class RepairError(ReproError):
 
 
 class BackendError(ReproError):
-    """An execution backend failed to evaluate a batch of candidates."""
+    """Candidates could not be scored: an unknown kernel backend, or a job
+    killed by an injected worker fault."""
 
 
 class KernelError(BackendError):
@@ -57,46 +58,10 @@ class KernelError(BackendError):
 
 
 class WorkerCrashError(BackendError):
-    """A worker process (or injected fault) died while evaluating a chunk.
-
-    Raised inside worker processes, it pickles across the process boundary
-    and surfaces on the parent's future; the retry machinery treats it as
+    """A job died mid-run on an injected fault (the daemon's
+    ``worker-poison`` chaos); the service's retry ladder treats it as
     transient.
     """
-
-
-class BackendTimeoutError(BackendError):
-    """A batch (or chunk) exceeded the configured per-dispatch timeout."""
-
-
-class CorruptResultError(BackendError):
-    """A backend returned a malformed batch (wrong length, non-finite values).
-
-    Detected by result validation in the retry layer; treated as transient
-    because a re-execution through the same kernels yields the true values.
-    """
-
-
-class BackendExhaustedError(BackendError):
-    """The retry budget ran out without a successful evaluation.
-
-    Carries ``attempts`` (total tries, including the first) and
-    ``last_error`` (the failure that ended the run) so callers and tests can
-    distinguish timeout storms from crash loops.
-    """
-
-    def __init__(
-        self,
-        attempts: int,
-        last_error: "BaseException | None" = None,
-        message: "str | None" = None,
-    ) -> None:
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(
-            message
-            or f"backend failed after {attempts} attempt(s); last error: {last_error!r}"
-        )
 
 
 class CheckpointError(ReproError):

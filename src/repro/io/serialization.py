@@ -172,8 +172,6 @@ def audit_report_to_dict(report) -> dict[str, Any]:
         "runtime_seconds": report.result.runtime_seconds,
         "n_evaluations": report.result.n_evaluations,
         "engine": {
-            "backend": report.result.backend,
-            "workers": report.result.workers,
             "cache_hits": report.result.cache_hits,
             "n_full_evaluations": report.result.n_full_evaluations,
             "n_incremental_evaluations": report.result.n_incremental_evaluations,

@@ -8,7 +8,7 @@ subcommand.
 
 The format is ``key=value`` structured text::
 
-    ts=2026-08-05T12:00:00 level=INFO logger=repro.engine msg="engine ready" backend=process
+    ts=2026-08-05T12:00:00 level=INFO logger=repro.engine msg="engine ready" kernel=numpy
 """
 
 from __future__ import annotations

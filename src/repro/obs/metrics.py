@@ -177,9 +177,7 @@ class MetricsRegistry:
         """Fold another registry (or an ``as_dict`` snapshot) into this one.
 
         Counters and timing histograms accumulate; gauges take the merged-in
-        value.  This is the operation used to combine snapshots shipped back
-        from process-pool workers and to roll per-run registries up into a
-        benchmark-suite total.  Returns ``self``.
+        value.  Returns ``self``.
         """
         snapshot = other.as_dict() if isinstance(other, MetricsRegistry) else other
         for name, value in snapshot.get("counters", {}).items():

@@ -38,15 +38,15 @@ from repro.service.jobs import KNOWN_SCENARIOS
 
 __all__ = ["MonitorSpec", "MonitoredPopulation"]
 
-#: Removed engine and kernel backends a journaled spec may still name, each
-#: mapped to the one it now runs on.  ``fingerprint()`` covers ``backend``
-#: and ``kernel``, so such a spec keeps the old name (its snapshot still
-#: restores); only the auditor resolves it.  A new monitor may not name
-#: one: ``create_monitor`` admits only ``available_backends()`` and
-#: ``KERNEL_BACKENDS``.  Daemons that once rewrote ``"numba"`` inside the
-#: spec snapshotted it under ``"numpy"``; ``snapshot_fingerprints()``
-#: accepts both.
-RETIRED_BACKENDS = {"sharded": "process"}
+#: Removed kernel backends a journaled spec may still name, each mapped to
+#: the one it now runs on.  ``fingerprint()`` covers ``backend``,
+#: ``workers`` and ``kernel``, so such a spec keeps the old names (its
+#: snapshot still restores).  The auditor reads neither ``backend`` nor
+#: ``workers`` (every monitor audits in-process) and resolves ``kernel``
+#: here.  A new monitor may name only a ``backend`` of null or
+#: ``"sequential"`` and one of ``KERNEL_BACKENDS``.  Daemons that once
+#: rewrote ``"numba"`` inside the spec snapshotted it under ``"numpy"``;
+#: ``snapshot_fingerprints()`` accepts both.
 RETIRED_KERNELS = {"numba": "numpy"}
 
 
@@ -237,8 +237,6 @@ class MonitoredPopulation:
                 algorithm=self.spec.algorithm,
                 metric=self.spec.metric,
                 weighting=self.spec.weighting,
-                backend=RETIRED_BACKENDS.get(self.spec.backend, self.spec.backend),
-                workers=self.spec.workers,
                 seed=self.spec.seed,
                 metrics=metrics,
                 kernel=RETIRED_KERNELS.get(self.spec.kernel, self.spec.kernel),
@@ -392,8 +390,3 @@ class MonitoredPopulation:
                 ),
                 "snapshot_version": self.snapshot_version,
             }
-
-    def close(self) -> None:
-        if self.auditor is not None:
-            self.auditor.close()
-            self.auditor = None

@@ -470,7 +470,6 @@ class AuditService:
         for monitor in list(self._monitors.values()):
             with monitor.lock:
                 self._write_snapshot(monitor)
-                monitor.close()
         self.journal.close()
 
     def __enter__(self) -> "AuditService":
@@ -849,14 +848,13 @@ class AuditService:
             self._reject("invalid_spec", "a monitor spec must be a JSON object")
         # Checked here, not in MonitorSpec: a journaled spec replays as it
         # was accepted (a retired backend or kernel, workers 0 = all cores).
-        from repro.engine.backends import available_backends
         from repro.engine.kernels import KERNEL_BACKENDS
 
-        if spec.backend is not None and spec.backend not in available_backends():
+        if spec.backend not in (None, "sequential"):
             self._reject(
                 "invalid_spec",
-                f"unknown backend {spec.backend!r}; choose from "
-                f"{available_backends()}",
+                f"unknown backend {spec.backend!r}; monitors audit in-process "
+                "(null or 'sequential')",
             )
         workers = spec.workers
         if workers is not None and not (isinstance(workers, int) and workers >= 1):

@@ -177,6 +177,10 @@ class CheckpointStore:
         from repro.simulation.runner import ExperimentRow
 
         data = dict(cell["row"])
+        # Cells written while the engine had execution backends also
+        # carry these two fields, which rows no longer have.
+        data.pop("backend", None)
+        data.pop("workers", None)
         data["attributes_used"] = tuple(data.get("attributes_used", ()))
         return ExperimentRow(**data)
 

@@ -31,8 +31,8 @@ class ExperimentRow:
     """One cell of a paper table: one algorithm on one scoring function.
 
     The engine counters (cache hits, incremental vs full evaluations, pair
-    distances materialised vs naive dense cost, backend, workers) travel
-    with the cell so benchmark harnesses can attribute search effort.
+    distances materialised vs naive dense cost) travel with the cell so
+    benchmark harnesses can attribute search effort.
     """
 
     scenario: str
@@ -48,8 +48,6 @@ class ExperimentRow:
     n_incremental_evaluations: int = 0
     pair_distances_computed: int = 0
     pair_distances_full: int = 0
-    backend: str = "sequential"
-    workers: int = 1
     deadline_hit: bool = False
 
     @classmethod
@@ -70,8 +68,6 @@ class ExperimentRow:
             n_incremental_evaluations=result.n_incremental_evaluations,
             pair_distances_computed=result.pair_distances_computed,
             pair_distances_full=result.pair_distances_full,
-            backend=result.backend,
-            workers=result.workers,
             deadline_hit=result.deadline_hit,
         )
 
@@ -139,12 +135,8 @@ def run_scenario(
     metric: "str | HistogramDistance" = "emd",
     seed: int = 0,
     algorithm_options: "dict[str, dict[str, object]] | None" = None,
-    backend: "str | None" = None,
-    workers: "int | None" = None,
     tracer=None,
     metrics=None,
-    retry_policy=None,
-    fault_config=None,
     checkpoint=None,
     resume: bool = False,
     deadline=None,
@@ -166,16 +158,10 @@ def run_scenario(
     algorithm_options:
         Optional per-algorithm constructor options, e.g.
         ``{"exhaustive": {"budget": 10_000}}``.
-    backend, workers:
-        Execution backend for the evaluation engine (``"sequential"``
-        default, ``"process"`` with ``workers`` processes).
     tracer, metrics:
         Observability hooks (see :mod:`repro.obs`): every (function,
         algorithm) cell runs inside a ``scenario.cell`` span and all engines
         mirror their counters into the shared ``metrics`` registry.
-    retry_policy, fault_config:
-        Fault tolerance / fault injection for the execution backend (see
-        :mod:`repro.engine.resilience` and :mod:`repro.chaos`).
     checkpoint:
         A :class:`~repro.simulation.checkpoint.CheckpointStore` (or a
         directory path) where every completed cell is persisted atomically.
@@ -242,12 +228,8 @@ def run_scenario(
                         hist_spec=scenario.hist_spec,
                         metric=metric,
                         rng=np.random.default_rng(seed_value),
-                        backend=backend,
-                        workers=workers,
                         tracer=tracer,
                         metrics=metrics,
-                        retry_policy=retry_policy,
-                        fault_config=fault_config,
                         deadline=deadline,
                         kernel=kernel,
                         engine_factory=engine_factory,

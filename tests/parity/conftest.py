@@ -7,9 +7,9 @@ and the streaming-store builders that used to live inline in
 ``tests/test_streaming.py``.
 
 The parity contract (see ``docs/robustness.md``): every kernel backend ×
-execution backend × atom/member path produces the **same IEEE floats, the
-same partitioning, the same effort counters and the same tie-breaks** as
-the reference scalar path.  All comparisons here are exact (``==`` /
+atom/member path produces the **same IEEE floats, the same partitioning,
+the same effort counters and the same tie-breaks** as the reference scalar
+path.  All comparisons here are exact (``==`` /
 ``np.array_equal``) — approximate assertions would hide the very drift
 this harness exists to catch.
 """

@@ -1,14 +1,13 @@
-"""Execution-path parity: atoms vs member arrays, process pool vs
-sequential.  (Consolidated here from ``tests/test_atoms.py`` and
-``tests/test_engine.py`` — the shared scenario matrix and digest helpers
-live in ``tests/parity/conftest.py``.)
+"""Execution-path parity: atoms vs member arrays.  (Consolidated here
+from ``tests/test_atoms.py`` — the shared scenario matrix and digest
+helpers live in ``tests/parity/conftest.py``.)
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.parity.conftest import build_scores, run_audit, value_digest
+from tests.parity.conftest import build_scores, run_audit
 
 
 @pytest.mark.parametrize("algorithm", ["balanced", "unbalanced", "beam"])
@@ -32,21 +31,3 @@ def test_atom_and_member_paths_bit_identical(
     assert atom.cache_hits == member.cache_hits
     assert atom.n_full_evaluations == member.n_full_evaluations
     assert atom.n_incremental_evaluations == member.n_incremental_evaluations
-
-
-@pytest.mark.parametrize("algorithm", ["balanced", "unbalanced", "beam", "exhaustive"])
-def test_process_backend_bit_identical(parity_populations, algorithm) -> None:
-    # The exhaustive search space explodes on the six-attribute paper schema;
-    # run it on the three-attribute small population instead.
-    population = parity_populations[
-        "small" if algorithm == "exhaustive" else "paper300"
-    ]
-    scores = build_scores(population, 23)
-    sequential = run_audit(population, scores, algorithm, backend="sequential")
-    pooled = run_audit(population, scores, algorithm, backend="process", workers=2)
-    assert pooled.unfairness == sequential.unfairness  # bit-identical, no approx
-    assert pooled.partitioning.canonical_key() == sequential.partitioning.canonical_key()
-    assert value_digest(pooled) == value_digest(sequential)
-    assert pooled.backend == "process"
-    assert pooled.workers == 2
-    assert sequential.backend == "sequential"

@@ -1,5 +1,5 @@
-"""The differential parity matrix: every kernel backend × execution backend
-× metric × weighting × algorithm, bit-identical to the scalar reference.
+"""The differential parity matrix: every kernel backend × metric ×
+weighting × algorithm, bit-identical to the scalar reference.
 
 A fast sub-matrix runs in tier-1 (kernel × metric on the small seeded
 population); the full combinatorial sweep carries the ``parity`` marker and
@@ -32,7 +32,6 @@ from tests.parity.conftest import (
 METRICS = tuple(available_metrics())
 WEIGHTINGS = ("uniform", "size")
 ALGORITHMS = ("balanced", "unbalanced")
-EXECUTION_BACKENDS = ("sequential", "process")
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +39,11 @@ def reference_run(parity_populations):
     """Memoised scalar-reference results, keyed by matrix cell."""
     cache: dict = {}
 
-    def get(case, metric, weighting, algorithm, backend="sequential"):
-        key = (case, metric, weighting, algorithm, backend)
+    def get(case, metric, weighting, algorithm):
+        key = (case, metric, weighting, algorithm)
         if key not in cache:
             population = parity_populations[case[0]]
             scores = build_scores(population, case[1])
-            kwargs = {"workers": 2} if backend == "process" else {}
             cache[key] = run_audit(
                 population,
                 scores,
@@ -53,8 +51,6 @@ def reference_run(parity_populations):
                 metric=metric,
                 weighting=weighting,
                 kernel="scalar",
-                backend=backend,
-                **kwargs,
             )
         return cache[key]
 
@@ -128,17 +124,13 @@ def test_value_cache_keys_and_counters_identical_across_kernels(
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
 @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
 def test_full_matrix_bit_identical(
-    parity_populations, reference_run, kernel, backend, metric, weighting, algorithm
+    parity_populations, reference_run, kernel, metric, weighting, algorithm
 ) -> None:
     case = ("small", 11)
     population = parity_populations[case[0]]
     scores = build_scores(population, case[1])
-    kwargs = {"backend": backend}
-    if backend == "process":
-        kwargs["workers"] = 2
     result = run_audit(
         population,
         scores,
@@ -146,21 +138,11 @@ def test_full_matrix_bit_identical(
         metric=metric,
         weighting=weighting,
         kernel=kernel,
-        **kwargs,
     )
     # Full identity (value, partitioning, effort counters, digest) against
-    # the scalar reference on the SAME execution backend...
+    # the scalar reference.
     assert_results_identical(
-        result, reference_run(case, metric, weighting, algorithm, backend)
-    )
-    # ...and value/partitioning/tie-break identity against the sequential
-    # scalar reference (execution backends share results, but the process
-    # pool legitimately does its value-cache bookkeeping worker-side).
-    sequential = reference_run(case, metric, weighting, algorithm)
-    assert result.unfairness == sequential.unfairness
-    assert (
-        result.partitioning.canonical_key()
-        == sequential.partitioning.canonical_key()
+        result, reference_run(case, metric, weighting, algorithm)
     )
 
 

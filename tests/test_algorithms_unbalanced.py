@@ -4,7 +4,6 @@ random-attribute baseline ``r-unbalanced``."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.algorithms import get_algorithm
 from repro.core.algorithms.unbalanced import UnbalancedAlgorithm

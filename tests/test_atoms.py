@@ -1,4 +1,4 @@
-"""Atom-table fast path: construction, resolution, bit-identity, shared memory.
+"""Atom-table fast path: construction, resolution, bit-identity.
 
 The load-bearing guarantees (see docs/performance.md):
 
@@ -6,23 +6,14 @@ The load-bearing guarantees (see docs/performance.md):
   over the matching member indices — exact int64 arithmetic, so the atom
   path and the member path produce the *same IEEE floats*, not merely close
   ones;
-* every algorithm returns bit-identical results with atoms on or off, on
-  the sequential and the process backend, with or without injected faults;
+* every algorithm returns bit-identical results with atoms on or off;
 * the engine's value cache evicts least-recently-used entries at cap and
   counts evictions;
 * the scalar ``cross_matrix`` fallback deduplicates repeated histogram rows
-  before paying for ``metric.distance`` calls;
-* crashed pool workers never leak ``multiprocessing.shared_memory``
-  segments (asserted via resource-tracker warnings and /dev/shm contents).
+  before paying for ``metric.distance`` calls.
 """
 
 from __future__ import annotations
-
-import glob
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,14 +34,11 @@ from repro.core.schema import WorkerSchema
 from repro.core.splitting import split_partition
 from repro.engine.atoms import AtomTable
 from repro.engine.engine import EvaluationEngine
-from repro.chaos import EngineFaults
 from repro.engine.kernels import cross_matrix
-from repro.engine.resilience import RetryPolicy
 from repro.metrics.base import HistogramDistance
 from repro.obs.metrics import MetricsRegistry
 
 SPEC = HistogramSpec(bins=8)
-FAST = RetryPolicy(max_retries=6, backoff_seconds=0.0)
 
 
 def _random_population(rng: np.random.Generator, n: int) -> Population:
@@ -309,119 +297,3 @@ def test_cross_matrix_dedup_matches_naive_loop(seed: int) -> None:
         [[metric.distance(p, q, SPEC) for q in right] for p in left]
     )
     assert np.array_equal(fast, naive)
-
-
-# ---------------------------------------- process backend + shared memory
-
-
-def _shm_segments() -> set:
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
-@pytest.mark.parametrize("use_atoms", [True, False])
-def test_process_backend_bit_identical_and_cleans_up(
-    paper_population_small, use_atoms: bool
-) -> None:
-    scores = np.random.default_rng(11).random(paper_population_small.size)
-    before = _shm_segments()
-    sequential = _run("balanced", paper_population_small, scores, use_atoms=use_atoms)
-    metrics = MetricsRegistry()
-    pooled = _run(
-        "balanced",
-        paper_population_small,
-        scores,
-        use_atoms=use_atoms,
-        backend="process",
-        workers=2,
-        metrics=metrics,
-    )
-    assert pooled.unfairness == sequential.unfairness
-    assert pooled.partitioning.canonical_key() == sequential.partitioning.canonical_key()
-    gauges = metrics.as_dict()["gauges"]
-    if use_atoms:
-        assert gauges.get("engine.shared_memory_bytes", 0) > 0
-    # engine.close() (run() always closes) must have unlinked every segment.
-    assert _shm_segments() - before == set()
-
-
-def test_chaos_drills_bit_identical_no_leaks(paper_population_small) -> None:
-    """Soft crash (chunk retry), hard crash (pool rebuild) and corruption
-    (validate + retry) all recover the clean answer on the process pool
-    without leaking shared-memory segments."""
-    scores = np.random.default_rng(11).random(paper_population_small.size)
-    baseline = _run("balanced", paper_population_small, scores)
-    before = _shm_segments()
-    drills = [
-        EngineFaults(crash_rate=0.3, seed=11),
-        EngineFaults(crash_rate=0.3, seed=11, crash_hard=True),
-        EngineFaults(corrupt_rate=0.4, seed=5),
-    ]
-    for fault_config in drills:
-        metrics = MetricsRegistry()
-        result = _run(
-            "balanced",
-            paper_population_small,
-            scores,
-            backend="process",
-            workers=2,
-            retry_policy=FAST,
-            fault_config=fault_config,
-            metrics=metrics,
-        )
-        assert result.unfairness == baseline.unfairness, fault_config
-        counters = metrics.as_dict()["counters"]
-        assert (
-            counters.get("engine.retries", 0)
-            + counters.get("engine.backend_fallbacks", 0)
-        ) >= 1, fault_config
-    assert _shm_segments() - before == set()
-
-
-_LEAK_DRILL = """
-import numpy as np
-from repro.core.algorithms import get_algorithm
-from repro.chaos import EngineFaults
-from repro.engine.resilience import RetryPolicy
-from repro.simulation.generator import generate_paper_population
-
-population = generate_paper_population(200, seed=3)
-scores = np.random.default_rng(0).random(population.size)
-result = get_algorithm("balanced").run(
-    population,
-    scores,
-    metric="emd",
-    rng=5,
-    backend="process",
-    workers=2,
-    retry_policy=RetryPolicy(max_retries=6, backoff_seconds=0.0),
-    fault_config=EngineFaults(crash_rate=0.3, seed=11, crash_hard=True),
-)
-print("UNFAIRNESS", repr(result.unfairness))
-"""
-
-
-def test_resource_tracker_reports_no_shm_leak_after_hard_crashes() -> None:
-    """Full interpreter lifecycle drill: hard-crashed workers, pool rebuild,
-    then exit.  The resource tracker prints a ``leaked shared_memory``
-    warning at shutdown for any segment created but never unlinked — its
-    silence is the leak-freedom assertion."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _LEAK_DRILL],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "leaked shared_memory" not in proc.stderr, proc.stderr
-    # And the chaos run still produced the clean bit-identical value.
-    population_scores = np.random.default_rng(0).random(200)
-    from repro.simulation.generator import generate_paper_population
-
-    clean = get_algorithm("balanced").run(
-        generate_paper_population(200, seed=3), population_scores, metric="emd", rng=5
-    )
-    assert f"UNFAIRNESS {clean.unfairness!r}" in proc.stdout

@@ -23,7 +23,6 @@ from repro.chaos import (
     FAMILIES,
     ChaosConfig,
     DiskFaults,
-    EngineFaults,
     NetFaults,
     WorkerFaults,
     seeded_roll,
@@ -63,35 +62,16 @@ FAST_RESULT = {"scenario": "figure1-toy", "rows": [], "deadline_hit": False}
 
 # -------------------------------------------------------------- spec parsing
 
-#: The families ``serve --chaos`` admits; the engine verbs admit ``engine``.
-SERVE = ("disk", "net", "worker")
-
 
 class TestChaosSpec:
     @pytest.mark.parametrize(
-        "spec,families,expected",
+        "spec,expected",
         [
             # Accepted: each family's rates and other fields; the one seed
             # lands in every family.
             (
-                "engine-crash=0.3, engine-hang=0.1, engine-corrupt=0.05, seed=7, "
-                "engine-hang-seconds=0.5, engine-crash-hard=1",
-                ("engine",),
-                {
-                    "engine": EngineFaults(
-                        crash_rate=0.3,
-                        hang_rate=0.1,
-                        corrupt_rate=0.05,
-                        seed=7,
-                        hang_seconds=0.5,
-                        crash_hard=True,
-                    )
-                },
-            ),
-            (
                 "disk-enospc=0.1,disk-fsync=0.2,disk-torn=0.3,disk-slow-seconds=0.5,"
                 "seed=3",
-                SERVE,
                 {
                     "disk": DiskFaults(
                         enospc_rate=0.1,
@@ -104,40 +84,35 @@ class TestChaosSpec:
             ),
             (
                 "net-reset=0.3,net-stall-seconds=0.7,seed=42",
-                SERVE,
                 {"net": NetFaults(reset_rate=0.3, stall_seconds=0.7, seed=42)},
             ),
             (
                 "worker-stall=0.4,worker_stall_seconds=0.9,seed=42",
-                SERVE,
                 {"worker": WorkerFaults(stall_rate=0.4, stall_seconds=0.9, seed=42)},
             ),
             # Rejected, with an error naming the offending entry.
-            ("crash=0.3,seed=1", ("engine",), "'crash=0.3': unknown key"),
-            ("enospc=0.05", SERVE, "'enospc=0.05': unknown key"),
-            ("engine-crash=1.0", SERVE, "'engine-crash=1.0': engine-* keys are not"),
-            ("disk-fsync=0.1", ("engine",), "'disk-fsync=0.1': disk-* keys are not"),
-            ("gremlins=1.0", SERVE, "'gremlins=1.0': unknown key"),
-            ("disk-sparks=0.5,seed=1", SERVE, "'disk-sparks=0.5': unknown key"),
-            ("engine-seed=3", ("engine",), "'engine-seed=3': unknown key"),
-            ("disk-fsync", SERVE, "'disk-fsync': not key=value"),
-            ("seed=abc", SERVE, "'seed=abc': invalid literal"),
-            ("net-reset=abc", SERVE, "'net-reset=abc': could not convert"),
-            ("engine-crash-hard=yes", ("engine",), "'engine-crash-hard=yes'"),
+            ("enospc=0.05", "'enospc=0.05': unknown key"),
+            ("engine-crash=1.0", "'engine-crash=1.0': unknown key"),
+            ("gremlins=1.0", "'gremlins=1.0': unknown key"),
+            ("disk-sparks=0.5,seed=1", "'disk-sparks=0.5': unknown key"),
+            ("disk-seed=3", "'disk-seed=3': unknown key"),
+            ("disk-fsync", "'disk-fsync': not key=value"),
+            ("seed=abc", "'seed=abc': invalid literal"),
+            ("net-reset=abc", "'net-reset=abc': could not convert"),
         ],
         ids=[
-            "engine", "disk", "net", "worker",
-            "bare-engine-key", "bare-disk-key", "engine-on-serve", "disk-on-engine",
+            "disk", "net", "worker",
+            "bare-disk-key", "engine-on-serve",
             "unknown-family", "unknown-kind", "per-family-seed", "no-equals",
-            "bad-seed", "bad-rate", "bad-flag",
+            "bad-seed", "bad-rate",
         ],
     )
-    def test_parse(self, spec, families, expected):
+    def test_parse(self, spec, expected):
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=re.escape(expected)):
-                ChaosConfig.parse(spec, families)
+                ChaosConfig.parse(spec)
             return
-        config = ChaosConfig.parse(spec, families)
+        config = ChaosConfig.parse(spec)
         assert config.spec == spec
         for family in FAMILIES:
             schedule = getattr(config, family)
@@ -146,7 +121,6 @@ class TestChaosSpec:
     @pytest.mark.parametrize(
         "schedule,prefix",
         [
-            (EngineFaults(crash_rate=0.4, hang_rate=0.4, corrupt_rate=0.4, seed=9), ""),
             (
                 DiskFaults(
                     enospc_rate=0.4,
@@ -173,7 +147,7 @@ class TestChaosSpec:
         ids=FAMILIES,
     )
     def test_roll_uses_the_historical_token(self, schedule, prefix):
-        # {seed}:{kind}:{key} for engine and disk, {seed}:net-{kind}:{key}
+        # {seed}:{kind}:{key} for disk, {seed}:net-{kind}:{key}
         # and {seed}:worker-{kind}:{key} for the service seams: seeded
         # drills keep replaying the same faults.
         for kind in schedule.kinds():
@@ -185,8 +159,6 @@ class TestChaosSpec:
 
     def test_parse_rejects_out_of_range_rates(self):
         for entry in (
-            "engine-crash=1.5",
-            "engine-hang-seconds=0",
             "disk-slow-seconds=-1",
             "net-reset=1.5",
             "worker-poison=-0.1",

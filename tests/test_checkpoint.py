@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -90,6 +91,27 @@ class TestResume:
         save_experiment_result(uninterrupted, full_json)
         save_experiment_result(resumed, resumed_json)
         assert resumed_json.read_bytes() == full_json.read_bytes()
+
+    def test_cells_that_name_an_execution_backend_resume(self, tmp_path, scenario):
+        # Checkpoints written while the engine had execution backends carry
+        # the run's backend and pool size in every row.
+        fresh = run_scenario(scenario, algorithms=ALGOS, seed=3)
+        run_scenario(scenario, algorithms=ALGOS, seed=3, checkpoint=tmp_path)
+        path = CheckpointStore(tmp_path).path
+        payload = json.loads(path.read_text())
+        for cell in payload["cells"].values():
+            cell["row"].update(backend="process", workers=2)
+        # Leave one cell for the resumed run to compute.
+        del payload["cells"][cell_key("f1", "unbalanced")]
+        path.write_text(json.dumps(payload))
+        resumed = run_scenario(
+            scenario, algorithms=ALGOS, seed=3, checkpoint=tmp_path, resume=True
+        )
+
+        def untimed(rows):
+            return [replace(row, runtime_seconds=0.0) for row in rows]
+
+        assert untimed(resumed.rows) == untimed(fresh.rows)
 
     def test_resume_skips_completed_cells(self, tmp_path, scenario, frozen_clock):
         from repro.obs.metrics import MetricsRegistry

@@ -27,52 +27,42 @@ class TestParser:
             build_parser().parse_args(["experiment", "table9"])
 
 
-class TestEngineFlagSurface:
-    """The unified --engine-backend/--engine-workers/--chaos surface."""
+#: The four engine verbs, each with the positionals it needs.
+ENGINE_VERBS = {
+    "audit": ["audit", "w.csv"],
+    "compare": ["compare", "w.csv"],
+    "workload": ["workload", "w.csv", "t.json"],
+    "experiment": ["experiment", "table1"],
+}
+#: The flags the engine verbs lost with the process pool.
+REMOVED_POOL_FLAGS = {
+    "engine-backend": ["--engine-backend", "process"],
+    "engine-workers": ["--engine-workers", "2"],
+    "engine-retries": ["--engine-retries", "2"],
+    "engine-timeout": ["--engine-timeout", "5"],
+    "engine-retry-backoff": ["--engine-retry-backoff", "0.1"],
+    "engine-no-fallback": ["--engine-no-fallback"],
+    "chaos": ["--chaos", "engine-crash=0.3,seed=1"],
+}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["audit", "w.csv", "--engine-backend", "process", "--engine-workers", "2"],
-            ["compare", "w.csv", "--engine-backend", "process", "--engine-workers", "2"],
-            ["workload", "w.csv", "t.json", "--engine-backend", "process", "--engine-workers", "2"],
-            ["experiment", "table1", "--engine-backend", "process", "--engine-workers", "2"],
-        ],
-    )
-    def test_all_four_subcommands_accept_new_flags(self, argv: list[str]) -> None:
-        args = build_parser().parse_args(argv)
-        assert args.engine_backend == "process"
-        assert args.engine_workers == 2
-        assert args.trace_out is None
-        assert args.log_level is None
+
+class TestEngineFlagSurface:
+    """The engine verbs' flag surface, and the spellings removed from it."""
 
     def test_experiment_workers_still_means_population_size(self) -> None:
         args = build_parser().parse_args(["experiment", "table1", "--workers", "100"])
         assert args.workers == 100
-        assert args.engine_workers is None
-
-    def test_fault_injection_needs_a_pool_backend(
-        self, tmp_path: Path, capsys
-    ) -> None:
-        csv_path = tmp_path / "workers.csv"
-        main(["generate", "--workers", "30", "--seed", "5", "--out", str(csv_path)])
-        capsys.readouterr()
-        argv = ["audit", str(csv_path), "--function", "f6"]
-        assert main([*argv, "--chaos", "engine-crash=0.3,seed=1"]) == 2
-        assert "worker pool" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,entry",
         [
             (["serve", "--workdir", "state", "--chaos", "engine-crash=1.0"],
              "engine-crash=1.0"),
-            (["audit", "w.csv", "--chaos", "disk-fsync=0.1"], "disk-fsync=0.1"),
             (["serve", "--workdir", "state", "--chaos", "disk-sparks=0.1,seed=1"],
              "disk-sparks=0.1"),
             (["serve", "--workdir", "state", "--chaos", "seed=abc"], "seed=abc"),
-            (["audit", "w.csv", "--chaos", "engine-crash=abc"], "engine-crash=abc"),
         ],
-        ids=["engine-on-serve", "disk-on-audit", "unknown-key", "bad-seed", "bad-rate"],
+        ids=["engine-on-serve", "unknown-key", "bad-seed"],
     )
     def test_bad_chaos_spec_exits_2_naming_the_entry(
         self, argv: list[str], entry: str, capsys
@@ -96,11 +86,20 @@ class TestEngineFlagSurface:
             ["experiment", "table1", "--backend", "process"],
             ["workload", "w.csv", "t.json", "--backend", "process"],
             ["audit", "w.csv", "--inject-faults", "crash=0.3,seed=1"],
+            ["audit", "w.csv", "--chaos", "disk-fsync=0.1"],
+            ["audit", "w.csv", "--chaos", "engine-crash=abc"],
+        ]
+        + [
+            ENGINE_VERBS[verb] + flag
+            for verb in ENGINE_VERBS
+            for flag in REMOVED_POOL_FLAGS.values()
         ],
         ids=[
             "audit-backend", "audit-workers", "compare-backend", "compare-workers",
             "experiment-backend", "workload-backend", "audit-inject-faults",
-        ],
+            "disk-on-audit", "bad-rate",
+        ]
+        + [f"{verb}-{name}" for verb in ENGINE_VERBS for name in REMOVED_POOL_FLAGS],
     )
     def test_removed_engine_spellings_exit_2(self, argv: list[str], capsys) -> None:
         with pytest.raises(SystemExit) as excinfo:

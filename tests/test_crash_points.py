@@ -17,7 +17,6 @@ running one of the scripts below and asserts the three invariants:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess

@@ -1,4 +1,4 @@
-"""Tests for the shared evaluation engine (kernels, incremental, backends).
+"""Tests for the shared evaluation engine (kernels, incremental, batches).
 
 The load-bearing guarantees:
 
@@ -6,8 +6,7 @@ The load-bearing guarantees:
   round-off for every metric that has one;
 * the incremental objective replayed over random split/merge sequences
   matches full recomputation to 1e-12 for **every** registered metric;
-* ``ProcessPoolBackend`` and ``SequentialBackend`` produce bit-identical
-  ``AlgorithmResult.unfairness`` on a fixed seed;
+* batched scoring returns exactly what one query per candidate does;
 * no algorithm constructs its own ``UnfairnessEvaluator`` — evaluation is
   the engine's job.
 """
@@ -36,12 +35,8 @@ from repro.core.splitting import split_partition
 from repro.core.unfairness import UnfairnessEvaluator
 from repro.engine import (
     EvaluationEngine,
-    ProcessPoolBackend,
-    SequentialBackend,
-    available_backends,
     cross_matrix,
     full_objective,
-    get_backend,
     has_vectorized_kernel,
     pairwise_matrix,
 )
@@ -246,19 +241,7 @@ def test_engine_matches_reference_evaluator(paper_population_small) -> None:
     )
 
 
-# ----------------------------------------------------------------- backends
-
-
-def test_available_and_get_backend() -> None:
-    assert available_backends() == ("sequential", "process")
-    assert isinstance(get_backend(None), SequentialBackend)
-    assert isinstance(get_backend("sequential"), SequentialBackend)
-    pool = get_backend("process", workers=2)
-    assert isinstance(pool, ProcessPoolBackend)
-    assert pool.workers == 2
-    for name in ("gpu", "sharded"):
-        with pytest.raises(PartitioningError, match="unknown backend"):
-            get_backend(name)
+# ------------------------------------------------------------------ batches
 
 
 def test_score_many_matches_individual_queries(small_population) -> None:
@@ -274,10 +257,6 @@ def test_score_many_matches_individual_queries(small_population) -> None:
     assert batched == [engine.unfairness(c) for c in candidates]
 
 
-# The process-vs-sequential bit-identity matrix moved to
-# tests/parity/test_execution_parity.py (shared parity harness).
-
-
 # ------------------------------------------------------- engine integration
 
 
@@ -290,8 +269,6 @@ def test_algorithm_result_carries_engine_counters(paper_population_small) -> Non
     assert result.pair_distances_full > 0
     # EMD's closed-form average never materialises individual pairs.
     assert result.pair_distances_computed == 0
-    assert result.backend == "sequential"
-    assert result.workers == 1
 
 
 def test_full_mode_materialises_every_pair(paper_population_small) -> None:

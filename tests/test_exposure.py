@@ -15,7 +15,7 @@ from repro.marketplace.exposure import (
     top_k_representation,
 )
 from repro.marketplace.ranking import rank_workers
-from repro.marketplace.scoring import LinearScoringFunction, paper_functions
+from repro.marketplace.scoring import paper_functions
 
 
 class TestPositionExposure:

@@ -12,7 +12,6 @@ from repro.simulation.generator import (
     TOY_OPTIMAL_GROUPS,
     generate_paper_population,
     generate_population,
-    toy_population,
 )
 
 

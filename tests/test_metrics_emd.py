@@ -170,7 +170,7 @@ class TestMetricObject:
         left = rng.dirichlet(np.ones(10), size=3)
         right = rng.dirichlet(np.ones(10), size=4)
         expected = np.mean(
-            [[metric.distance(l, r, spec) for r in right] for l in left]
+            [[metric.distance(p, r, spec) for r in right] for p in left]
         )
         assert metric.average_cross(left, right, spec) == pytest.approx(expected)
 

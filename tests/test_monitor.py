@@ -148,6 +148,7 @@ class TestIntake:
             {"workers": 0},
             {"workers": "x"},
             {"backend": "sharded"},
+            {"backend": "process"},
             {"kernel": "bogus"},
             {"kernel": "numba"},
             {"function": ["f1"]},
@@ -158,6 +159,7 @@ class TestIntake:
             "zero-workers",
             "string-workers",
             "retired-backend",
+            "process-backend",
             "bogus-kernel",
             "retired-kernel",
             "list-function",
@@ -171,6 +173,14 @@ class TestIntake:
                 service.create_monitor({**SPEC, **fields})
             assert rejected.value.reason == "invalid_spec"
             assert service.monitors_snapshot() == []
+        finally:
+            service.stop()
+
+    def test_sequential_backend_admitted(self, tmp_path):
+        service = make_service(tmp_path)
+        try:
+            service.create_monitor({**SPEC, "backend": "sequential"})
+            assert [m["id"] for m in service.monitors_snapshot()] == ["m1"]
         finally:
             service.stop()
 
@@ -295,7 +305,8 @@ class TestCrashRecovery:
 class TestJournaledEngineFields:
     """``create_monitor`` refuses a backend or pool size the daemon cannot
     run, but a spec journaled before that check still replays as it was
-    accepted, so the daemon restarts with its jobs and monitors."""
+    accepted, so the daemon restarts with its jobs and monitors.  It audits
+    in-process: the auditor reads neither field."""
 
     @pytest.mark.parametrize(
         "fields",
@@ -314,15 +325,7 @@ class TestJournaledEngineFields:
             assert restored.spec.to_dict() == spec
             assert restored.spec.fingerprint() == spec_fingerprint(spec)
             revived.apply_mutations("m1", mutation_batch(revived, "m1", 70, 5))
-            if "backend" in fields:
-                # As before the check: every audit of it fails, and the
-                # daemon keeps serving.
-                deadline = time.time() + 20
-                while not revived.metrics.counter("service.monitor_audit_errors"):
-                    assert time.time() < deadline, "the audit never ran"
-                    time.sleep(0.01)
-            else:
-                wait_for_audits(revived, "m1", 1)
+            wait_for_audits(revived, "m1", 1)
         finally:
             revived.stop()
 
@@ -357,16 +360,16 @@ def journal_with_snapshot(
                     monitor.store,
                     monitor.series,
                 )
-    monitor.close()
     return monitor
 
 
 class TestRetiredBackend:
-    def test_journaled_sharded_spec_restores_and_audits(self, tmp_path):
-        # Journal + snapshot as a daemon wrote them while "sharded" was a
-        # backend: the spec keeps its name (its fingerprint gates the
-        # snapshot) and the auditor runs it as "process".
-        spec = MonitorSpec.from_dict({**SPEC, "backend": "sharded", "workers": 2})
+    @pytest.mark.parametrize("backend", ["sharded", "process"])
+    def test_journaled_sharded_spec_restores_and_audits(self, tmp_path, backend):
+        # Journal + snapshot as a daemon wrote them while the backend
+        # existed: the spec keeps its name (its fingerprint gates the
+        # snapshot) and the auditor runs it in-process.
+        spec = MonitorSpec.from_dict({**SPEC, "backend": backend, "workers": 2})
         monitor = journal_with_snapshot(tmp_path, spec)
         revived = make_service(tmp_path)
         try:
@@ -380,7 +383,6 @@ class TestRetiredBackend:
             assert "service.snapshot_restore_rejected" not in counters
             revived.apply_mutations("m1", mutation_batch(revived, "m1", 62, 5))
             wait_for_audits(revived, "m1", 3)
-            assert restored.auditor.backend == "process"
         finally:
             revived.stop()
 

@@ -12,11 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.partition import Partition, Partitioning
-from repro.core.population import Population
-from repro.engine.atoms import AtomTable, decode_keys, encode_codes, protected_cards
+from repro.engine.atoms import AtomTable, decode_keys, encode_codes
 from repro.engine.engine import EvaluationEngine
-from repro.chaos import EngineFaults
-from repro.engine.resilience import RetryPolicy
 from repro.engine.streaming import (
     MutableAtomState,
     StreamingAuditor,
@@ -25,7 +22,6 @@ from repro.engine.streaming import (
 )
 from repro.exceptions import MutationError, PartitioningError, PopulationError
 from repro.marketplace.streaming import (
-    MUTATIONS_SCHEMA,
     Mutation,
     MutablePopulation,
     random_mutation_mix,
@@ -199,126 +195,73 @@ class TestStreamingBitIdentity:
         for wid in store.worker_ids()[keep:]:
             store.remove(int(wid))
         auditor = StreamingAuditor(store, seed=0)
-        try:
-            report = auditor.audit()
-            result = batch_audit(store)
-            assert report.unfairness == result.unfairness
-            assert store.size == keep
-        finally:
-            auditor.close()
+        report = auditor.audit()
+        result = batch_audit(store)
+        assert report.unfairness == result.unfairness
+        assert store.size == keep
 
     def test_empty_population_refuses_audit(self) -> None:
         store = small_store(seed=4, n_workers=10)
         for wid in store.worker_ids():
             store.remove(int(wid))
         auditor = StreamingAuditor(store, seed=0)
-        try:
-            with pytest.raises(MutationError):
-                auditor.audit()
-        finally:
-            auditor.close()
-
-    def test_process_backend_with_fault_injection(self) -> None:
-        store = small_store(seed=5)
-        mutate(store, seed=41, count=80)
-        policy = RetryPolicy(max_retries=4, backoff_seconds=0.0)
-        faults = EngineFaults(crash_rate=0.05, seed=7)
-        auditor = StreamingAuditor(
-            store,
-            algorithm="balanced",
-            metric="emd",
-            backend="process",
-            workers=2,
-            seed=0,
-            retry_policy=policy,
-            fault_config=faults,
-        )
-        try:
-            report = auditor.audit()
-            result = batch_audit(store, backend="process", workers=2)
-            assert report.unfairness == result.unfairness
-        finally:
-            auditor.close()
-
-    def test_pool_republishes_only_when_dirty(self) -> None:
-        store = small_store(seed=6)
-        auditor = StreamingAuditor(
-            store, backend="process", workers=2, seed=0
-        )
-        try:
+        with pytest.raises(MutationError):
             auditor.audit()
-            version = auditor._engine.atom_version
-            auditor.audit()  # no mutations in between
-            assert auditor._engine.atom_version == version
-            store.update_score(int(store.worker_ids()[0]), 0.25)
-            auditor.audit()
-            assert auditor._engine.atom_version == version + 1
-        finally:
-            auditor.close()
 
 
 class TestDeltaRescoring:
     def test_update_only_delta_matches_direct_evaluation(self) -> None:
         store = small_store(seed=7)
         auditor = StreamingAuditor(store, seed=0)
-        try:
-            baseline = auditor.audit()
-            mutate(store, seed=51, count=25, weights=(0.0, 0.0, 1.0))
-            delta = auditor.rescore_delta()
-            assert delta is not None and not delta.stale
-            assert delta.kind == "delta"
-            assert delta.population_size == store.size
-            # Re-evaluate the frozen partitioning on the final population.
-            population, scores = store.to_population()
-            engine = EvaluationEngine(
-                population, scores, hist_spec=store.hist_spec, metric="emd"
+        baseline = auditor.audit()
+        mutate(store, seed=51, count=25, weights=(0.0, 0.0, 1.0))
+        delta = auditor.rescore_delta()
+        assert delta is not None and not delta.stale
+        assert delta.kind == "delta"
+        assert delta.population_size == store.size
+        # Re-evaluate the frozen partitioning on the final population.
+        population, scores = store.to_population()
+        engine = EvaluationEngine(
+            population, scores, hist_spec=store.hist_spec, metric="emd"
+        )
+        partitions = []
+        for constraints in baseline.groups:
+            mask = np.ones(population.size, dtype=bool)
+            for name, code in constraints:
+                mask &= population.partition_codes(name) == code
+            partitions.append(
+                Partition(np.nonzero(mask)[0], tuple(constraints))
             )
-            partitions = []
-            for constraints in baseline.groups:
-                mask = np.ones(population.size, dtype=bool)
-                for name, code in constraints:
-                    mask &= population.partition_codes(name) == code
-                partitions.append(
-                    Partition(np.nonzero(mask)[0], tuple(constraints))
-                )
-            expected = engine.unfairness(
-                Partitioning(partitions, population.size)
-            )
-            engine.close()
-            assert delta.unfairness == pytest.approx(expected, abs=1e-12)
-        finally:
-            auditor.close()
+        expected = engine.unfairness(
+            Partitioning(partitions, population.size)
+        )
+        engine.close()
+        assert delta.unfairness == pytest.approx(expected, abs=1e-12)
 
     def test_unseen_code_combination_marks_stale(self) -> None:
         store = small_store(seed=8)
         auditor = StreamingAuditor(store, seed=0)
-        try:
-            auditor.audit()
-            # Adds can introduce code combinations outside every frontier
-            # group; keep adding until the frontier gives up.
-            stale = False
-            for seed in range(60, 75):
-                mutate(store, seed=seed, count=10, weights=(1.0, 0.0, 0.0))
-                delta = auditor.rescore_delta()
-                assert delta is not None
-                if delta.stale:
-                    stale = True
-                    break
-            assert stale, "adds never left the audited frontier"
-            # A full audit clears staleness and is again bit-identical.
-            report = auditor.audit()
-            result = batch_audit(store)
-            assert report.unfairness == result.unfairness
-        finally:
-            auditor.close()
+        auditor.audit()
+        # Adds can introduce code combinations outside every frontier
+        # group; keep adding until the frontier gives up.
+        stale = False
+        for seed in range(60, 75):
+            mutate(store, seed=seed, count=10, weights=(1.0, 0.0, 0.0))
+            delta = auditor.rescore_delta()
+            assert delta is not None
+            if delta.stale:
+                stale = True
+                break
+        assert stale, "adds never left the audited frontier"
+        # A full audit clears staleness and is again bit-identical.
+        report = auditor.audit()
+        result = batch_audit(store)
+        assert report.unfairness == result.unfairness
 
     def test_delta_before_any_audit_is_none(self) -> None:
         store = small_store(seed=9)
         auditor = StreamingAuditor(store, seed=0)
-        try:
-            assert auditor.rescore_delta() is None
-        finally:
-            auditor.close()
+        assert auditor.rescore_delta() is None
 
 
 class TestStreamingEngineGuards:
@@ -350,11 +293,8 @@ class TestStreamingEngineGuards:
         engine = StreamingEngine(
             proxy, proxy_scores, table=table, hist_spec=store.hist_spec
         )
-        try:
-            with pytest.raises(PartitioningError):
-                engine.rebind(population, scores, table)
-        finally:
-            engine.shutdown()
+        with pytest.raises(PartitioningError):
+            engine.rebind(population, scores, table)
 
 
 class TestSubsetDuplicateBugfix:

@@ -31,6 +31,14 @@ from a single pairwise matrix of those children
 (:class:`~repro.engine.incremental.SiblingFamily`).  Scoring keep and
 split through the same tracker also keeps degenerate comparisons (a split
 that changes no member set) exact ties, as in the reference evaluator.
+
+A partition that is one *atom* (all its workers share every protected
+code, see :meth:`~repro.engine.engine.EvaluationEngine.single_atom`) is
+kept without being scored: each of its splits gives back its own member
+set, which ties the keep score exactly, and a tie keeps the partition.
+The output is unchanged and the effort counters are lower.
+``r-unbalanced`` still draws the attribute such a node would have split
+on, so every later node draws the same one.
 """
 
 from __future__ import annotations
@@ -75,6 +83,10 @@ class _UnbalancedBase(PartitioningAlgorithm):
         heuristic, random for the baseline)."""
         raise NotImplementedError
 
+    def _keep_single_atom(self, context: SearchContext, candidates: list[str]) -> None:
+        """Consume what the skipped attribute choice of a single-atom node
+        would have consumed besides its scores (nothing, by default)."""
+
     def _search(self, context: SearchContext) -> list[Partition]:
         candidates = list(context.population.schema.protected_names)
         root = context.engine.root_partition()
@@ -111,6 +123,11 @@ class _UnbalancedBase(PartitioningAlgorithm):
         # remainder of the frontier.
         current = family_members[index]
         if not candidates or context.should_stop():
+            output.append(current)
+            return
+        if context.engine.single_atom(current):
+            # Every split of one atom is itself: an exact tie, so it stays.
+            self._keep_single_atom(context, candidates)
             output.append(current)
             return
         siblings = [p for j, p in enumerate(family_members) if j != index]
@@ -197,8 +214,15 @@ class RandomUnbalancedAlgorithm(_UnbalancedBase):
         root: Partition,
         candidates: list[str],
     ) -> tuple[str, list[Partition]]:
-        attribute = str(context.rng.choice(candidates))
+        attribute = self._draw(context, candidates)
         return attribute, split_partition(context.population, root, attribute)
+
+    @staticmethod
+    def _draw(context: SearchContext, candidates: list[str]) -> str:
+        return str(context.rng.choice(candidates))
+
+    def _keep_single_atom(self, context: SearchContext, candidates: list[str]) -> None:
+        self._draw(context, candidates)
 
     def _choose_attribute(
         self,
@@ -208,7 +232,7 @@ class RandomUnbalancedAlgorithm(_UnbalancedBase):
         candidates: list[str],
         tracker: "object | None",
     ) -> tuple[str, list[Partition], float]:
-        attribute = str(context.rng.choice(candidates))
+        attribute = self._draw(context, candidates)
         children = split_partition(context.population, partition, attribute)
         if tracker is not None:
             score = tracker.score_add(children)

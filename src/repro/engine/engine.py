@@ -244,6 +244,22 @@ class EvaluationEngine:
             partition.atom_table, partition.atom_rows = table, rows
         return rows
 
+    def single_atom(self, partition: Partition) -> bool:
+        """True when every member of ``partition`` shares every protected
+        code: the partition is one atom, and splitting it on any attribute
+        gives back its own member set.  Read from the atom rows when the
+        partition has them, else from the members' code columns, so both
+        paths answer alike."""
+        rows = self.atom_rows(partition)
+        if rows is not None:
+            return len(rows) == 1
+        members = partition.indices
+        for name in self.population.schema.protected_names:
+            codes = self.population.partition_codes(name)[members]
+            if (codes != codes[0]).any():
+                return False
+        return True
+
     def root_partition(self) -> Partition:
         """The whole population as one partition — carrying every atom row
         on the atom path, so its descendants never resolve constraints."""

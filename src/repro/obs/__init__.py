@@ -5,7 +5,7 @@ Dependency-free instrumentation substrate for the evaluation pipeline:
 * :class:`Tracer` / :data:`NULL_TRACER` — nested, timed spans with a
   context-manager API and JSON export (:mod:`repro.obs.tracer`);
 * :class:`MetricsRegistry` — counters, gauges and timing histograms with
-  snapshot/merge semantics (:mod:`repro.obs.metrics`);
+  plain-dict snapshots (:mod:`repro.obs.metrics`);
 * :func:`setup_logging` — ``key=value`` structured logging behind the
   ``repro`` logger hierarchy (:mod:`repro.obs.logging_setup`).
 

@@ -8,11 +8,7 @@ metrics:
 * **timings** — aggregated duration distributions (``observe`` /
   ``time``): count, total, min, max and a fixed log-scale bucket histogram.
 
-Registries snapshot to plain dicts (``as_dict``) and **merge**
-(:meth:`MetricsRegistry.merge`): counters and timing histograms add, gauges
-are overwritten by the merged-in side.  Merging is how per-run registries
-roll up into a benchmark suite total and how snapshots taken in worker
-processes fold back into the parent's registry.
+Registries snapshot to plain dicts (``as_dict``).
 
 The :class:`~repro.engine.engine.EvaluationEngine` mirrors its
 :class:`~repro.engine.engine.EngineStats` effort counters (evaluations,
@@ -28,7 +24,7 @@ import time
 __all__ = ["MetricsRegistry", "TimingStats"]
 
 #: Upper bounds (seconds) of the timing histogram buckets; the last bucket
-#: is implicit (+inf).  Fixed so snapshots from different processes merge.
+#: is implicit (+inf).
 BUCKET_BOUNDS: tuple[float, ...] = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 
@@ -62,23 +58,6 @@ class TimingStats:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "TimingStats | dict") -> None:
-        if isinstance(other, dict):
-            snapshot = other
-            self.count += int(snapshot["count"])
-            self.total += float(snapshot["total_seconds"])
-            self.min = min(self.min, float(snapshot["min_seconds"]))
-            self.max = max(self.max, float(snapshot["max_seconds"]))
-            for i, n in enumerate(snapshot.get("buckets", ())):
-                self.buckets[i] += int(n)
-            return
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
 
     def as_dict(self) -> dict:
         return {
@@ -170,27 +149,6 @@ class MetricsRegistry:
                     name: stats.as_dict() for name, stats in self._timings.items()
                 },
             }
-
-    # --------------------------------------------------------------- merging
-
-    def merge(self, other: "MetricsRegistry | dict") -> "MetricsRegistry":
-        """Fold another registry (or an ``as_dict`` snapshot) into this one.
-
-        Counters and timing histograms accumulate; gauges take the merged-in
-        value.  Returns ``self``.
-        """
-        snapshot = other.as_dict() if isinstance(other, MetricsRegistry) else other
-        for name, value in snapshot.get("counters", {}).items():
-            self.inc(name, value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.set_gauge(name, value)
-        with self._lock:
-            for name, timing in snapshot.get("timings", {}).items():
-                stats = self._timings.get(name)
-                if stats is None:
-                    stats = self._timings[name] = TimingStats()
-                stats.merge(timing)
-        return self
 
     def __repr__(self) -> str:
         return (

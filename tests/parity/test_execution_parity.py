@@ -10,7 +10,9 @@ import pytest
 from tests.parity.conftest import build_scores, run_audit
 
 
-@pytest.mark.parametrize("algorithm", ["balanced", "unbalanced", "beam"])
+@pytest.mark.parametrize(
+    "algorithm", ["balanced", "unbalanced", "r-unbalanced", "beam"]
+)
 @pytest.mark.parametrize("weighting", ["uniform", "size"])
 def test_atom_and_member_paths_bit_identical(
     parity_populations, algorithm: str, weighting: str

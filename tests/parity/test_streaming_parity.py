@@ -23,7 +23,7 @@ from tests.parity.conftest import (
     small_store,
 )
 
-STREAMING_ALGORITHMS = ("balanced", "unbalanced")
+STREAMING_ALGORITHMS = ("balanced", "unbalanced", "r-unbalanced")
 STREAMING_METRICS = ("emd", "js", "tv")
 
 

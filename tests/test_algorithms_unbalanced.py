@@ -4,12 +4,15 @@ random-attribute baseline ``r-unbalanced``."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.algorithms import get_algorithm
 from repro.core.algorithms.unbalanced import UnbalancedAlgorithm
 from repro.core.population import Population
+from repro.core.splitting import split_partition
+from repro.engine.engine import EvaluationEngine
 from repro.marketplace.biased import paper_biased_functions
-from repro.simulation.generator import TOY_OPTIMAL_GROUPS
+from repro.simulation.generator import TOY_OPTIMAL_GROUPS, generate_paper_population
 
 
 class TestUnbalanced:
@@ -99,3 +102,64 @@ class TestRandomUnbalanced:
         scores = np.full(small_population.size, 0.75)
         result = get_algorithm("r-unbalanced").run(small_population, scores, rng=0)
         assert result.unfairness == 0.0
+
+
+class TestSingleAtomNodes:
+    """A single-atom node is kept unscored: every split of it is itself."""
+
+    @pytest.fixture(scope="class")
+    def population(self) -> Population:
+        return generate_paper_population(300, seed=7)
+
+    @pytest.fixture(scope="class")
+    def scores(self, population: Population) -> np.ndarray:
+        return np.random.default_rng(13).random(population.size)
+
+    @pytest.mark.parametrize("algorithm", ["unbalanced", "r-unbalanced"])
+    @pytest.mark.parametrize("cross_only", [False, True])
+    @pytest.mark.parametrize("weighting", ["uniform", "size"])
+    def test_same_result_as_scoring_every_node(
+        self,
+        population: Population,
+        scores: np.ndarray,
+        monkeypatch: pytest.MonkeyPatch,
+        algorithm: str,
+        cross_only: bool,
+        weighting: str,
+    ) -> None:
+        def run():
+            return get_algorithm(algorithm, cross_only=cross_only).run(
+                population, scores, rng=4, weighting=weighting
+            )
+
+        skipped = run()
+        monkeypatch.setattr(EvaluationEngine, "single_atom", lambda self, p: False)
+        scored = run()
+        assert skipped.unfairness == scored.unfairness
+        assert (
+            skipped.partitioning.canonical_key()
+            == scored.partitioning.canonical_key()
+        )
+        assert (
+            skipped.partitioning.attributes_used()
+            == scored.partitioning.attributes_used()
+        )
+        assert skipped.n_evaluations < scored.n_evaluations
+
+    def test_atom_and_member_paths_agree(
+        self, population: Population, scores: np.ndarray
+    ) -> None:
+        engines = [
+            EvaluationEngine(population, scores, use_atoms=use_atoms)
+            for use_atoms in (True, False)
+        ]
+        leaves = get_algorithm("all-attributes").run(population, scores).partitioning
+        for leaf in leaves:
+            assert [engine.single_atom(leaf) for engine in engines] == [True, True]
+        root = engines[0].root_partition()
+        for attribute in population.schema.protected_names:
+            for child in split_partition(population, root, attribute):
+                assert [engine.single_atom(child) for engine in engines] == [
+                    False,
+                    False,
+                ]

@@ -13,7 +13,7 @@ from repro import EvaluationEngine, MetricsRegistry, Tracer, write_trace
 from repro.core.algorithms import get_algorithm
 import numpy as np
 from repro.obs import setup_logging
-from repro.obs.metrics import BUCKET_BOUNDS, TimingStats
+from repro.obs.metrics import BUCKET_BOUNDS
 from repro.obs.tracer import NULL_TRACER, TRACE_SCHEMA, NullTracer, _NullSpan
 from repro.simulation.generator import toy_population
 
@@ -151,43 +151,6 @@ class TestMetricsRegistry:
             pass
         stats = registry.timing("op_seconds")
         assert stats is not None and stats.count == 1
-
-    def test_merge_accumulates_counters_and_timings(self) -> None:
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.inc("n", 2)
-        right.inc("n", 3)
-        left.observe("t", 0.5)
-        right.observe("t", 1.5)
-        left.set_gauge("g", 1)
-        right.set_gauge("g", 9)
-        left.merge(right)
-        assert left.counter("n") == 5
-        timing = left.timing("t")
-        assert timing is not None
-        assert timing.count == 2 and timing.total == 2.0
-        assert left.gauge("g") == 9  # gauges: merged-in side wins
-
-    def test_merge_accepts_plain_snapshot(self) -> None:
-        """The process-pool path ships ``as_dict()`` snapshots, not objects."""
-        worker = MetricsRegistry()
-        worker.inc("backend.candidates", 10)
-        worker.observe("backend.collect_seconds", 0.25)
-        parent = MetricsRegistry()
-        parent.inc("backend.candidates", 1)
-        parent.merge(worker.as_dict())
-        assert parent.counter("backend.candidates") == 11
-        timing = parent.timing("backend.collect_seconds")
-        assert timing is not None and timing.count == 1
-
-    def test_timing_stats_merge_is_commutative_on_totals(self) -> None:
-        a, b = TimingStats(), TimingStats()
-        a.observe(0.1)
-        b.observe(0.3)
-        b.observe(2e-5)
-        a.merge(b)
-        assert a.count == 3
-        assert a.total == pytest.approx(0.4 + 2e-5)
-        assert a.min == 2e-5 and a.max == 0.3
 
 
 class TestLoggingSetup:
